@@ -1,19 +1,14 @@
-//! Full-protocol benchmark: FDS member-epochs/sec and wire bytes per
-//! epoch for the roster-indexed bitmap implementation
-//! ([`cbfd_core::node::FdsNode`]) against the frozen set-based
-//! reference ([`cbfd_core::reference::RefFdsNode`]).
+//! Full-protocol benchmark: FDS member-epochs/sec, allocations per
+//! event and wire bytes per epoch for the roster-indexed bitmap
+//! implementation ([`cbfd_core::node::FdsNode`]).
 //!
 //! Each scenario forms clusters over a uniform field sized for a
 //! target mean degree, then runs the complete service — heartbeats,
-//! digests, health updates, peer forwarding, gateway reports — through
-//! both actors on the identical topology, clustering, channel, and
-//! seed. The two implementations schedule the same timers and
-//! broadcasts, so the event counts match; only the time spent per
-//! event, the allocation rate, and the digest wire bytes differ.
-//!
-//! The binary also cross-checks the byte ledgers: the bitmap node's
-//! `bytes_sent_id_list` shadow accounting must equal the reference's
-//! live ledger exactly, or the before/after comparison is meaningless.
+//! digests, health updates, peer forwarding, gateway reports — on the
+//! legacy single-queue engine with a pinned channel and seed. Its row
+//! keeps the run in a `bitmap` block; the historical before/after
+//! comparison against the pre-bitmap id-list layout is recorded in
+//! EXPERIMENTS.md.
 //!
 //! A `report_dedup` section records a deterministic crash-avalanche
 //! run (several same-epoch crashes across clusters) and asserts the
@@ -21,7 +16,7 @@
 //! inter-cluster reports — the epoch-1 report avalanche fix, with the
 //! suppressed wire bytes priced by the live codec.
 //!
-//! Beyond the layout comparison, the binary measures the spatially
+//! Beyond the scenario rows, the binary measures the spatially
 //! tiled engine (`cbfd_net::tiled::TiledSim`, DESIGN.md §14) on an
 //! N-scaling ladder up to N=1,000,000 full-FDS nodes, plus a
 //! tile-count-scaling sweep at fixed N — the numbers behind the
@@ -49,11 +44,9 @@
 
 use cbfd_cluster::{oracle, FormationConfig};
 use cbfd_core::config::FdsConfig;
-use cbfd_core::node::{FdsNode, NodeStats};
+use cbfd_core::node::FdsNode;
 use cbfd_core::profile::{build_profiles, NodeProfile};
-use cbfd_core::reference::RefFdsNode;
 use cbfd_core::service::{Experiment, PlannedCrash};
-use cbfd_net::actor::Actor;
 use cbfd_net::energy::EnergyModel;
 use cbfd_net::geometry::Rect;
 use cbfd_net::prelude::*;
@@ -88,41 +81,6 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// The common constructor/read-out surface of the two protocol actors.
-trait BenchNode: Actor + Sized {
-    fn build(profile: NodeProfile, fds: FdsConfig, capacity: f64) -> Self;
-    fn node_stats(&self) -> &NodeStats;
-    /// Retained-update/report clones on the dissemination path. The
-    /// reference deliberately reports 0: it keeps the historical
-    /// clone-heavy shapes, so the counter only tracks the live node's
-    /// residual clones (the thing the flat layout is meant to shrink).
-    fn clone_count(&self) -> u64;
-}
-
-impl BenchNode for FdsNode {
-    fn build(profile: NodeProfile, fds: FdsConfig, capacity: f64) -> Self {
-        FdsNode::new(profile, fds, capacity)
-    }
-    fn node_stats(&self) -> &NodeStats {
-        self.stats()
-    }
-    fn clone_count(&self) -> u64 {
-        self.clone_ops()
-    }
-}
-
-impl BenchNode for RefFdsNode {
-    fn build(profile: NodeProfile, fds: FdsConfig, capacity: f64) -> Self {
-        RefFdsNode::new(profile, fds, capacity)
-    }
-    fn node_stats(&self) -> &NodeStats {
-        self.stats()
-    }
-    fn clone_count(&self) -> u64 {
-        0
-    }
-}
-
 struct Scenario {
     n: usize,
     target_degree: f64,
@@ -130,7 +88,7 @@ struct Scenario {
     epochs: u64,
 }
 
-/// One implementation's timed run over a prepared field.
+/// The timed run over a prepared field.
 struct LayoutRun {
     seconds: f64,
     member_epochs_per_sec: f64,
@@ -147,14 +105,14 @@ struct LayoutRun {
 #[derive(Clone, Copy)]
 struct ProtocolProfile {
     /// Sum of per-node `NodeStats::ledger_ops` — membership-ledger
-    /// mutations on the protocol path (counted at identical sites by
-    /// the flat node and the frozen reference).
+    /// mutations on the protocol path.
     ledger_ops: u64,
     /// Heap allocations during the timed window (best pass).
     allocs: u64,
     /// Allocations per simulated event, the gated rate.
     allocs_per_event: f64,
-    /// Residual retained-update clones (0 for the reference).
+    /// Residual retained-update/report clones on the dissemination
+    /// path.
     clones: u64,
 }
 
@@ -173,7 +131,6 @@ struct Measurement {
     epochs: u64,
     member_epochs: u64,
     bitmap: LayoutRun,
-    id_list: LayoutRun,
 }
 
 /// Square side giving mean unit-disk degree ≈ `target` for `n` nodes
@@ -182,18 +139,18 @@ fn side_for_degree(n: usize, r: f64, target: f64) -> f64 {
     (((n - 1) as f64) * std::f64::consts::PI * r * r / target).sqrt()
 }
 
-/// Timed passes per layout; the best is reported, so one run paying
+/// Timed passes per row; the best is reported, so one run paying
 /// process warmup (first-touch page faults, cold malloc arenas) does
-/// not skew the comparison. Both passes replay the same seed, so the
+/// not skew the measurement. Both passes replay the same seed, so the
 /// event stream is identical.
 const PASSES: u32 = 2;
 
-fn run_layout<A: BenchNode>(
+fn run_layout(
     topology: &Topology,
     profiles: &[NodeProfile],
     s: &Scenario,
     member_epochs: u64,
-) -> (LayoutRun, u64) {
+) -> LayoutRun {
     let fds = FdsConfig::default();
     let capacity = EnergyModel::default().initial;
     let phi = fds.heartbeat_interval;
@@ -204,7 +161,7 @@ fn run_layout<A: BenchNode>(
             topology.clone(),
             RadioConfig::bernoulli(s.loss_p),
             0xFD5,
-            |id| A::build(profiles[id.index()].clone(), fds, capacity),
+            |id| FdsNode::new(profiles[id.index()].clone(), fds, capacity),
         );
         sim.set_energy_model(EnergyModel::default());
         let allocs_before = ALLOCS.load(Ordering::Relaxed);
@@ -223,14 +180,12 @@ fn run_layout<A: BenchNode>(
     let m = sim.metrics();
     let events = m.deliveries + m.dropped_dead + m.timers_fired;
     let mut bytes = 0u64;
-    let mut bytes_id_list = 0u64;
     let mut ledger_ops = 0u64;
     let mut clones = 0u64;
     for (_, node) in sim.actors() {
-        bytes += node.node_stats().bytes_sent;
-        bytes_id_list += node.node_stats().bytes_sent_id_list;
-        ledger_ops += node.node_stats().ledger_ops;
-        clones += node.clone_count();
+        bytes += node.stats().bytes_sent;
+        ledger_ops += node.stats().ledger_ops;
+        clones += node.clone_ops();
     }
     if std::env::var_os("BENCH_PROTOCOL_DEBUG").is_some() {
         let mut req = 0u64;
@@ -238,7 +193,7 @@ fn run_layout<A: BenchNode>(
         let mut retx = 0u64;
         let mut missed = 0u64;
         for (_, node) in sim.actors() {
-            let st = node.node_stats();
+            let st = node.stats();
             req += st.requests_sent;
             fwd += st.peer_forwards_sent;
             retx += st.retransmissions;
@@ -250,23 +205,20 @@ fn run_layout<A: BenchNode>(
         );
     }
     let allocs_per_event = allocs as f64 / events.max(1) as f64;
-    (
-        LayoutRun {
-            seconds,
-            member_epochs_per_sec: member_epochs as f64 / seconds,
-            events,
+    LayoutRun {
+        seconds,
+        member_epochs_per_sec: member_epochs as f64 / seconds,
+        events,
+        allocs_per_event,
+        bytes,
+        bytes_per_epoch: bytes as f64 / s.epochs as f64,
+        profile: ProtocolProfile {
+            ledger_ops,
+            allocs,
             allocs_per_event,
-            bytes,
-            bytes_per_epoch: bytes as f64 / s.epochs as f64,
-            profile: ProtocolProfile {
-                ledger_ops,
-                allocs,
-                allocs_per_event,
-                clones,
-            },
+            clones,
         },
-        bytes_id_list,
-    )
+    }
 }
 
 fn run_scenario(s: &Scenario) -> Measurement {
@@ -288,25 +240,13 @@ fn run_scenario(s: &Scenario) -> Measurement {
         .count() as u64;
     let member_epochs = members * s.epochs;
 
-    let (bitmap, shadow) = run_layout::<FdsNode>(&topology, &profiles, s, member_epochs);
-    let (id_list, _) = run_layout::<RefFdsNode>(&topology, &profiles, s, member_epochs);
-
-    // The shadow ledger IS the reference's live ledger, or the
-    // before/after byte comparison is measuring two different runs.
-    assert_eq!(
-        shadow, id_list.bytes,
-        "N={}: id-list shadow accounting diverged from the reference",
-        s.n
-    );
-
     Measurement {
         n: s.n,
         mean_degree,
         clusters: view.cluster_count(),
         epochs: s.epochs,
         member_epochs,
-        bitmap,
-        id_list,
+        bitmap: run_layout(&topology, &profiles, s, member_epochs),
     }
 }
 
@@ -520,8 +460,8 @@ impl Committed {
         };
         let mut rows = Vec::new();
         for (section, id_key, allocs_scope) in [
-            // Scenario rows nest one `allocs_per_event` per layout, so
-            // their gated rate lives in the unambiguous
+            // Scenario rows nest an `allocs_per_event` in their
+            // `bitmap` block too, so their gated rate is read from the
             // `protocol_profile` block; tiled rows carry the row-level
             // key first, before the breakdown/profile blocks.
             ("scenarios", "\"n\":", Some("\"protocol_profile\":")),
@@ -583,8 +523,8 @@ fn parse_number(text: &str) -> Option<f64> {
 /// mistaken for it. `allocs_scope` additionally captures the row's
 /// `allocs_per_event`: `Some("")` takes the first (row-level)
 /// occurrence, `Some(marker)` the first occurrence after `marker` —
-/// scenario rows nest several per-layout copies, so theirs is scoped
-/// to the `protocol_profile` block.
+/// scenario rows nest a copy in their `bitmap` block, so theirs is
+/// scoped to the `protocol_profile` block.
 fn section_rows(
     text: &str,
     section: &str,
@@ -766,7 +706,7 @@ fn main() {
     }
     let mut gated: Vec<String> = Vec::new();
 
-    // ------------------------------------------- layout comparison
+    // ------------------------------------------------ scenario rows
     let scenarios = [
         Scenario {
             n: 1_000,
@@ -792,13 +732,9 @@ fn main() {
     let mut smoke: Option<f64> = None;
     for s in &scenarios {
         let m = run_scenario(s);
-        let speedup = m.bitmap.member_epochs_per_sec / m.id_list.member_epochs_per_sec;
-        let byte_ratio = m.bitmap.bytes as f64 / m.id_list.bytes as f64;
         println!(
-            "N={:<6} degree {:4.1}  {:>5} clusters  {:>8} member-epochs\n\
-             \x20  bitmap : {:8.3} s  {:>9.0} me/s  {:5.2} allocs/ev  {:>9.0} bytes/epoch\n\
-             \x20  id-list: {:8.3} s  {:>9.0} me/s  {:5.2} allocs/ev  {:>9.0} bytes/epoch\n\
-             \x20  speedup {:.2}x, digest traffic at {:.0}% of id-list bytes",
+            "N={:<6} degree {:4.1}  {:>5} clusters  {:>8} member-epochs  \
+             {:8.3} s  {:>9.0} me/s  {:5.2} allocs/ev  {:>9.0} bytes/epoch",
             m.n,
             m.mean_degree,
             m.clusters,
@@ -807,12 +743,6 @@ fn main() {
             m.bitmap.member_epochs_per_sec,
             m.bitmap.allocs_per_event,
             m.bitmap.bytes_per_epoch,
-            m.id_list.seconds,
-            m.id_list.member_epochs_per_sec,
-            m.id_list.allocs_per_event,
-            m.id_list.bytes_per_epoch,
-            speedup,
-            byte_ratio * 100.0
         );
         let id = format!("n={}", m.n);
         if check {
@@ -831,8 +761,7 @@ fn main() {
         rows.push(format!(
             "    {{ \"n\": {}, \"baseline_member_epochs_per_sec\": {:.0}, \"mean_degree\": {:.2}, \
              \"clusters\": {}, \"epochs\": {}, \"member_epochs\": {},\n      \
-             \"bitmap\": {},\n      \"id_list\": {},\n      \
-             \"speedup\": {:.3}, \"byte_ratio\": {:.4},\n      {} }}",
+             \"bitmap\": {},\n      {} }}",
             m.n,
             baseline,
             m.mean_degree,
@@ -840,9 +769,6 @@ fn main() {
             m.epochs,
             m.member_epochs,
             layout_json(&m.bitmap),
-            layout_json(&m.id_list),
-            speedup,
-            byte_ratio,
             profile_json(&m.bitmap.profile)
         ));
         if m.n == 10_000 {
@@ -970,7 +896,7 @@ fn main() {
     let smoke = smoke.expect("smoke scenario present");
     let json = format!(
         "{{\n  \"benchmark\": \"fds_protocol\",\n  \
-         \"workload\": \"full FDS (heartbeats, digests, updates, peer forwarding) on uniform fields; layout comparison at p=0.05, tiled scaling at p=0.01 (N-invariant per-node traffic)\",\n  \
+         \"workload\": \"full FDS (heartbeats, digests, updates, peer forwarding) on uniform fields; scenario rows at p=0.05, tiled scaling at p=0.01 (N-invariant per-node traffic)\",\n  \
          \"smoke_baseline_member_epochs_per_sec\": {smoke:.0},\n  \
          \"smoke_scenario\": \"n=10000 bitmap layout\",\n  \"scenarios\": [\n{}\n  ],\n\
          {report_dedup},\n  \

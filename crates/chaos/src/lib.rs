@@ -101,6 +101,20 @@ mod tests {
     }
 
     #[test]
+    fn replay_refuses_artifacts_the_engine_cannot_run() {
+        let config = small_config();
+        for primitive in [
+            "loss_storm from_us=1 until_us=500000 p=1.5",
+            "replay from_us=1 until_us=500000 prob=2 lag_us=100",
+            "crash at_us=500000 node=4294967297",
+        ] {
+            let text =
+                format!("cbfd-fault-plan v1\nbaseline_p 0.05\nhorizon_us 3000000\n{primitive}\n");
+            assert!(replay(&config, &text, 1).is_err(), "{primitive}");
+        }
+    }
+
+    #[test]
     fn monitor_flags_dead_node_activity_and_double_crashes() {
         // Drive the monitor by hand: the engine never emits these
         // sequences (that is the point — they'd be engine bugs), so

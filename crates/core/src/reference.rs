@@ -7,10 +7,10 @@
 //! is a pair of id-keyed collections, per-epoch state is rebuilt from
 //! scratch, and wire sizes are accounted with the historical id-list
 //! digest layout. It is **not** part of the service — its sole
-//! consumers are the differential test suite (which runs the same
-//! seeded workload through both implementations and asserts identical
-//! verdicts, traces, and metrics) and the protocol benchmark (which
-//! uses it as the set-based baseline).
+//! consumer is the differential test suite
+//! (`tests/differential_protocol.rs`), which runs the same seeded
+//! workload through both implementations and asserts identical
+//! verdicts, traces, metrics, and id-list-priced received bytes.
 //!
 //! Nothing here should be "improved": fidelity to the old semantics is
 //! the whole point. Bug-for-bug equivalence with the optimized
@@ -167,10 +167,9 @@ fn update_len(u: &RefUpdate) -> usize {
 }
 
 impl RefMsg {
-    /// Wire size in bytes under the historical id-list codec — the
-    /// figure the optimized implementation tracks as
-    /// [`NodeStats::bytes_sent_id_list`], so the two runs'
-    /// byte ledgers can be cross-checked exactly.
+    /// Wire size in bytes under the historical id-list codec: digests
+    /// carry a `u16` count plus a `u32` per heard member, and updates
+    /// carry no roster version.
     pub fn encoded_len(&self) -> usize {
         match self {
             RefMsg::Heartbeat { reading, .. } => 1 + 4 + 1 + 1 + reading.map_or(0, |_| 4),
@@ -408,12 +407,10 @@ impl RefFdsNode {
         self.profile.cluster
     }
 
-    /// Broadcasts `msg`, accounting its historical wire size in both
-    /// byte ledgers (this implementation has only the id-list layout).
+    /// Broadcasts `msg`, accounting its wire size under the historical
+    /// id-list layout (the only layout this implementation has).
     fn transmit(&mut self, ctx: &mut Ctx<'_, RefMsg>, msg: RefMsg) {
-        let len = msg.encoded_len() as u64;
-        self.stats.bytes_sent += len;
-        self.stats.bytes_sent_id_list += len;
+        self.stats.bytes_sent += msg.encoded_len() as u64;
         ctx.broadcast(msg);
     }
 

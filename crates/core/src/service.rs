@@ -85,10 +85,6 @@ pub struct FdsOutcome {
     pub joins: u64,
     /// Total wire bytes transmitted (per the message codec).
     pub bytes: u64,
-    /// What [`FdsOutcome::bytes`] would have been under the historical
-    /// id-list wire layout (digests as explicit node-id lists) — the
-    /// before/after comparison the bitmap layout is judged by.
-    pub bytes_id_list: u64,
     /// Standard deviation of remaining energy (energy balance).
     pub energy_imbalance: f64,
     /// Adaptive mode: suspicion episodes raised across all observers
@@ -348,11 +344,7 @@ impl Experiment {
         observe: &mut dyn FnMut(&Simulator<FdsNode>, SimEvent),
     ) -> FdsOutcome {
         let mut sim = self.build_sim(RadioConfig::bernoulli(plan.baseline_p), seed);
-        for node in plan.join_targets() {
-            if node.index() < self.topology.len() {
-                sim.set_dormant(node);
-            }
-        }
+        self.mark_join_targets(&mut sim, plan);
         self.run_plan_on(&mut sim, plan, epochs, observe)
     }
 
@@ -361,12 +353,7 @@ impl Experiment {
     /// via [`Simulator::checkpoint`], or handed to
     /// [`Experiment::run_plan_on`].
     pub fn build_sim(&self, radio: RadioConfig, seed: u64) -> Simulator<FdsNode> {
-        let profiles = self.profiles.clone();
-        let fds = self.fds;
-        let capacity = self.energy.initial;
-        let mut sim = Simulator::new(self.topology.clone(), radio, seed, |id| {
-            FdsNode::new(profiles[id.index()].clone(), fds, capacity)
-        });
+        let mut sim = Simulator::new(self.topology.clone(), radio, seed, |id| self.fds_node(id));
         sim.set_energy_model(self.energy);
         sim
     }
@@ -375,12 +362,7 @@ impl Experiment {
     /// (per-node RNG streams — deterministic under tiling, unlike the
     /// legacy simulator's global stream).
     pub fn build_canonical_sim(&self, radio: RadioConfig, seed: u64) -> CanonicalSim<FdsNode> {
-        let profiles = self.profiles.clone();
-        let fds = self.fds;
-        let capacity = self.energy.initial;
-        let mut sim = CanonicalSim::new(self.topology.clone(), radio, seed, |id| {
-            FdsNode::new(profiles[id.index()].clone(), fds, capacity)
-        });
+        let mut sim = CanonicalSim::new(self.topology.clone(), radio, seed, |id| self.fds_node(id));
         sim.set_energy_model(self.energy);
         sim
     }
@@ -395,14 +377,42 @@ impl Experiment {
         gx: u32,
         gy: u32,
     ) -> TiledSim<FdsNode> {
-        let profiles = self.profiles.clone();
-        let fds = self.fds;
-        let capacity = self.energy.initial;
         let mut sim = TiledSim::new(self.topology.clone(), radio, seed, gx, gy, |id| {
-            FdsNode::new(profiles[id.index()].clone(), fds, capacity)
+            self.fds_node(id)
         });
         sim.set_energy_model(self.energy);
         sim
+    }
+
+    /// The `FdsNode` every engine builder installs at `id`.
+    fn fds_node(&self, id: NodeId) -> FdsNode {
+        FdsNode::new(
+            self.profiles[id.index()].clone(),
+            self.fds,
+            self.energy.initial,
+        )
+    }
+
+    /// The deadline of an `epochs`-long plan run resumed at `start`,
+    /// and its ground-truth crash epochs: each in-range victim's first
+    /// crash instant within the run, saturated to `start`.
+    fn plan_ground_truth(
+        &self,
+        plan: &FaultPlan,
+        epochs: u64,
+        start: SimTime,
+    ) -> (SimTime, BTreeMap<NodeId, u64>) {
+        let phi = self.fds.heartbeat_interval;
+        let deadline = SimTime::ZERO + phi * epochs - SimDuration::from_micros(1);
+        let mut crash_epochs: BTreeMap<NodeId, u64> = BTreeMap::new();
+        for (at, node) in plan.crash_schedule() {
+            if node.index() < self.topology.len() && at <= deadline {
+                let at = at.max(start);
+                let epoch = (at.since(SimTime::ZERO).as_micros() / phi.as_micros()).min(epochs - 1);
+                crash_epochs.entry(node).or_insert(epoch);
+            }
+        }
+        (deadline, crash_epochs)
     }
 
     /// Marks the plan's join targets dormant on `host` — the pre-run
@@ -427,17 +437,7 @@ impl Experiment {
         plan: &FaultPlan,
         epochs: u64,
     ) -> FdsOutcome {
-        let phi = self.fds.heartbeat_interval;
-        let deadline = SimTime::ZERO + phi * epochs - SimDuration::from_micros(1);
-        let start = host.now();
-        let mut crash_epochs: BTreeMap<NodeId, u64> = BTreeMap::new();
-        for (at, node) in plan.crash_schedule() {
-            if node.index() < self.topology.len() && at <= deadline {
-                let at = at.max(start);
-                let epoch = (at.since(SimTime::ZERO).as_micros() / phi.as_micros()).min(epochs - 1);
-                crash_epochs.entry(node).or_insert(epoch);
-            }
-        }
+        let (deadline, crash_epochs) = self.plan_ground_truth(plan, epochs, host.now());
         chaos::run_plan_quiet(host, plan, deadline);
         self.evaluate_host(host, epochs, &crash_epochs)
     }
@@ -454,18 +454,7 @@ impl Experiment {
         epochs: u64,
         observe: &mut dyn FnMut(&Simulator<FdsNode>, SimEvent),
     ) -> FdsOutcome {
-        let phi = self.fds.heartbeat_interval;
-        let deadline = SimTime::ZERO + phi * epochs - SimDuration::from_micros(1);
-        let start = sim.now();
-        let mut crash_epochs: BTreeMap<NodeId, u64> = BTreeMap::new();
-        for (at, node) in plan.crash_schedule() {
-            if node.index() < self.topology.len() && at <= deadline {
-                let at = at.max(start);
-                let epoch = (at.since(SimTime::ZERO).as_micros() / phi.as_micros()).min(epochs - 1);
-                crash_epochs.entry(node).or_insert(epoch);
-            }
-        }
-
+        let (deadline, crash_epochs) = self.plan_ground_truth(plan, epochs, sim.now());
         chaos::run_plan(sim, plan, deadline, observe);
         self.evaluate(sim, epochs, &crash_epochs)
     }
@@ -485,9 +474,6 @@ impl Experiment {
         seed: u64,
     ) -> FdsOutcome {
         let phi = self.fds.heartbeat_interval;
-        let profiles = self.profiles.clone();
-        let fds = self.fds;
-        let capacity = self.energy.initial;
         let mut sleep_plans: Vec<Vec<(u64, u64)>> = vec![Vec::new(); self.topology.len()];
         for s in sleep {
             assert!(
@@ -501,7 +487,7 @@ impl Experiment {
             plan.sort_unstable();
         }
         let mut sim = Simulator::new(self.topology.clone(), radio, seed, |id| {
-            let mut node = FdsNode::new(profiles[id.index()].clone(), fds, capacity);
+            let mut node = self.fds_node(id);
             if !sleep_plans[id.index()].is_empty() {
                 node.set_sleep_plan(sleep_plans[id.index()].clone());
             }
@@ -567,7 +553,6 @@ impl Experiment {
         let mut member_epochs = 0;
         let mut joins = 0;
         let mut bytes = 0;
-        let mut bytes_id_list = 0;
         let mut suspicions_raised = 0;
         let mut suspicions_retracted = 0;
         let mut reports_suppressed = 0;
@@ -588,7 +573,6 @@ impl Experiment {
             retransmissions += s.retransmissions;
             joins += s.joins_admitted;
             bytes += s.bytes_sent;
-            bytes_id_list += s.bytes_sent_id_list;
             reports_suppressed += s.reports_suppressed;
             bytes_suppressed += s.bytes_suppressed;
             ledger_ops += s.ledger_ops;
@@ -671,7 +655,6 @@ impl Experiment {
             retransmissions,
             joins,
             bytes,
-            bytes_id_list,
             energy_imbalance: sim.energy_imbalance(),
             suspicions_raised,
             suspicions_retracted,

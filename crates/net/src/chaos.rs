@@ -523,71 +523,9 @@ pub fn run_plan<A: Actor>(
     deadline: SimTime,
     observe: &mut dyn FnMut(&Simulator<A>, SimEvent),
 ) {
-    let n = sim.topology().len();
-    for (at, node) in plan.crash_schedule() {
-        if node.index() < n && at <= deadline {
-            sim.schedule_crash(node, at);
-        }
-    }
-    for (at, node, kind) in plan.churn_schedule() {
-        if node.index() >= n || at > deadline {
-            continue;
-        }
-        // The schedule_* APIs are saturating and no-op on nonsensical
-        // transitions, so any generated churn schedule is safe.
-        match kind {
-            "join" => {
-                sim.schedule_join(node, at);
-            }
-            "leave" => {
-                sim.schedule_leave(node, at);
-            }
-            _ => {
-                sim.schedule_rejoin(node, at);
-            }
-        }
-    }
-    for (at, action) in plan.window_actions() {
-        if at > deadline {
-            break;
-        }
-        // Windows are inclusive of `from`: run strictly *before* the
-        // action instant so transmissions at `at` itself already see
-        // the new channel state.
-        if at > sim.now() && at > SimTime::ZERO {
-            sim.run_until_observed(at - SimDuration::from_micros(1), observe);
-        }
-        apply_action(sim, &action, plan.baseline_p, n);
-    }
-    sim.run_until_observed(deadline, observe);
-}
-
-fn apply_action<A: Actor>(sim: &mut Simulator<A>, action: &Action, baseline_p: f64, n: usize) {
-    match action {
-        Action::Bernoulli { p, jitter } => {
-            sim.set_radio(RadioConfig::bernoulli(*p).with_jitter(*jitter));
-        }
-        Action::Burst { p_bad, p_gb, p_bg } => {
-            sim.set_radio(RadioConfig::new(Box::new(GilbertElliott::new(
-                baseline_p, *p_bad, *p_gb, *p_bg,
-            ))));
-        }
-        Action::RestoreRadio => sim.set_radio(RadioConfig::bernoulli(baseline_p)),
-        Action::PartitionOn(groups) => {
-            if groups.len() == n {
-                sim.set_partition(groups.clone());
-            }
-        }
-        Action::PartitionOff => sim.clear_partition(),
-        Action::LinkLagOn(a, b, lag) => {
-            if a.index() < n && b.index() < n {
-                sim.set_link_lag(*a, *b, *lag);
-            }
-        }
-        Action::LinkLagOff(a, b) => sim.remove_link_lag(*a, *b),
-        Action::ReplayOn(prob, lag) => sim.set_duplication(*prob, *lag),
-        Action::ReplayOff => sim.set_duplication(0.0, SimDuration::ZERO),
-    }
+    drive_plan(sim, plan, deadline, &mut |sim, until| {
+        sim.run_until_observed(until, observe)
+    });
 }
 
 /// The engine surface a [`FaultPlan`] needs to drive a run: scheduling
@@ -693,12 +631,25 @@ where
     impl_plan_host_body!();
 }
 
-/// [`run_plan`] for any [`PlanHost`], without an observer: identical
-/// crash/churn compilation, identical window segmentation (run to
-/// `at − 1 µs`, apply, continue), identical final segment — so two
-/// hosts fed the same plan see byte-identical schedules and identical
-/// `run_until` split points.
+/// [`run_plan`] for any [`PlanHost`], without an observer. Both share
+/// one driver (window segmentation: run to `at − 1 µs`, apply,
+/// continue), so two hosts fed the same plan see byte-identical
+/// schedules and identical `run_until` split points.
 pub fn run_plan_quiet<H: PlanHost>(host: &mut H, plan: &FaultPlan, deadline: SimTime) {
+    drive_plan(host, plan, deadline, &mut |host, until| {
+        host.run_until(until)
+    });
+}
+
+/// The one plan driver behind [`run_plan`] and [`run_plan_quiet`]:
+/// compiles crashes and churn onto `host`, then runs segment by
+/// segment with `advance`, applying each window action at its instant.
+fn drive_plan<H: PlanHost>(
+    host: &mut H,
+    plan: &FaultPlan,
+    deadline: SimTime,
+    advance: &mut dyn FnMut(&mut H, SimTime),
+) {
     let n = host.node_count();
     for (at, node) in plan.crash_schedule() {
         if node.index() < n && at <= deadline {
@@ -709,6 +660,8 @@ pub fn run_plan_quiet<H: PlanHost>(host: &mut H, plan: &FaultPlan, deadline: Sim
         if node.index() >= n || at > deadline {
             continue;
         }
+        // The schedule_* APIs are saturating and no-op on nonsensical
+        // transitions, so any generated churn schedule is safe.
         match kind {
             "join" => host.schedule_join(node, at),
             "leave" => host.schedule_leave(node, at),
@@ -719,15 +672,18 @@ pub fn run_plan_quiet<H: PlanHost>(host: &mut H, plan: &FaultPlan, deadline: Sim
         if at > deadline {
             break;
         }
+        // Windows are inclusive of `from`: run strictly *before* the
+        // action instant so transmissions at `at` itself already see
+        // the new channel state.
         if at > host.now() && at > SimTime::ZERO {
-            host.run_until(at - SimDuration::from_micros(1));
+            advance(host, at - SimDuration::from_micros(1));
         }
-        apply_action_on(host, &action, plan.baseline_p, n);
+        apply_action(host, &action, plan.baseline_p, n);
     }
-    host.run_until(deadline);
+    advance(host, deadline);
 }
 
-fn apply_action_on<H: PlanHost>(host: &mut H, action: &Action, baseline_p: f64, n: usize) {
+fn apply_action<H: PlanHost>(host: &mut H, action: &Action, baseline_p: f64, n: usize) {
     match action {
         Action::Bernoulli { p, jitter } => {
             host.set_radio(RadioConfig::bernoulli(*p).with_jitter(*jitter));
@@ -890,6 +846,11 @@ impl FaultPlan {
     }
 
     /// Parses the artifact format produced by [`FaultPlan::to_text`].
+    ///
+    /// Artifacts arrive from outside the program (`chaos --replay`), so
+    /// values the engine would later choke on are rejected here: every
+    /// probability must be finite and within `[0, 1]`, and every node
+    /// id and group entry must fit `u32`.
     pub fn from_text(text: &str) -> Result<FaultPlan, String> {
         let mut lines = text.lines().filter(|l| !l.trim().is_empty());
         let header = lines.next().ok_or("empty plan")?;
@@ -912,11 +873,16 @@ impl FaultPlan {
                     None => positional.push(part.to_string()),
                 }
             }
-            let f64_field = |k: &str| -> Result<f64, String> {
+            let prob_field = |k: &str| -> Result<f64, String> {
+                let raw = fields.get(k).ok_or_else(|| format!("{tag}: missing {k}"))?;
+                parse_probability(raw).map_err(|e| format!("{tag}: bad {k}: {e}"))
+            };
+            let node_field = |k: &str| -> Result<NodeId, String> {
                 fields
                     .get(k)
                     .ok_or_else(|| format!("{tag}: missing {k}"))?
                     .parse()
+                    .map(NodeId)
                     .map_err(|e| format!("{tag}: bad {k}: {e}"))
             };
             let u64_field = |k: &str| -> Result<u64, String> {
@@ -936,11 +902,9 @@ impl FaultPlan {
             };
             match tag {
                 "baseline_p" => {
-                    plan.baseline_p = positional
-                        .first()
-                        .ok_or("baseline_p: missing value")?
-                        .parse()
-                        .map_err(|e| format!("baseline_p: {e}"))?;
+                    plan.baseline_p =
+                        parse_probability(positional.first().ok_or("baseline_p: missing value")?)
+                            .map_err(|e| format!("baseline_p: {e}"))?;
                 }
                 "horizon_us" => {
                     plan.horizon = SimTime::from_micros(
@@ -953,7 +917,7 @@ impl FaultPlan {
                 }
                 "crash" => plan.primitives.push(FaultPrimitive::Crash {
                     at: SimTime::from_micros(u64_field("at_us")?),
-                    node: NodeId(u64_field("node")? as u32),
+                    node: node_field("node")?,
                 }),
                 "cascade" => plan.primitives.push(FaultPrimitive::Cascade {
                     start: SimTime::from_micros(u64_field("start_us")?),
@@ -963,14 +927,14 @@ impl FaultPlan {
                 "loss_storm" => plan.primitives.push(FaultPrimitive::LossStorm {
                     from: SimTime::from_micros(u64_field("from_us")?),
                     until: SimTime::from_micros(u64_field("until_us")?),
-                    p: f64_field("p")?,
+                    p: prob_field("p")?,
                 }),
                 "burst_storm" => plan.primitives.push(FaultPrimitive::BurstStorm {
                     from: SimTime::from_micros(u64_field("from_us")?),
                     until: SimTime::from_micros(u64_field("until_us")?),
-                    p_bad: f64_field("p_bad")?,
-                    p_gb: f64_field("p_gb")?,
-                    p_bg: f64_field("p_bg")?,
+                    p_bad: prob_field("p_bad")?,
+                    p_gb: prob_field("p_gb")?,
+                    p_bg: prob_field("p_bg")?,
                 }),
                 "partition" => plan.primitives.push(FaultPrimitive::Partition {
                     from: SimTime::from_micros(u64_field("from_us")?),
@@ -985,19 +949,19 @@ impl FaultPlan {
                 "link_lag" => plan.primitives.push(FaultPrimitive::LinkLag {
                     from: SimTime::from_micros(u64_field("from_us")?),
                     until: SimTime::from_micros(u64_field("until_us")?),
-                    a: NodeId(u64_field("a")? as u32),
-                    b: NodeId(u64_field("b")? as u32),
+                    a: node_field("a")?,
+                    b: node_field("b")?,
                     lag: SimDuration::from_micros(u64_field("lag_us")?),
                 }),
                 "replay" => plan.primitives.push(FaultPrimitive::Replay {
                     from: SimTime::from_micros(u64_field("from_us")?),
                     until: SimTime::from_micros(u64_field("until_us")?),
-                    prob: f64_field("prob")?,
+                    prob: prob_field("prob")?,
                     lag: SimDuration::from_micros(u64_field("lag_us")?),
                 }),
                 "join" | "leave" | "rejoin" if version >= 2 => {
                     let at = SimTime::from_micros(u64_field("at_us")?);
-                    let node = NodeId(u64_field("node")? as u32);
+                    let node = node_field("node")?;
                     plan.primitives.push(match tag {
                         "join" => FaultPrimitive::Join { at, node },
                         "leave" => FaultPrimitive::Leave { at, node },
@@ -1008,6 +972,17 @@ impl FaultPlan {
             }
         }
         Ok(plan)
+    }
+}
+
+/// Parses a probability, refusing anything but a finite value in
+/// `[0, 1]` (the loss models and the duplication knob assume one).
+fn parse_probability(raw: &str) -> Result<f64, String> {
+    let p: f64 = raw.parse().map_err(|e| format!("{e}"))?;
+    if (0.0..=1.0).contains(&p) {
+        Ok(p)
+    } else {
+        Err(format!("{raw} is not a probability in [0, 1]"))
     }
 }
 
@@ -1349,6 +1324,55 @@ mod tests {
         // Churn tags belong to the v2 format only.
         assert!(FaultPlan::from_text("cbfd-fault-plan v1\nleave at_us=5 node=1").is_err());
         assert!(FaultPlan::from_text("cbfd-fault-plan v2\nleave at_us=5 node=1").is_ok());
+    }
+
+    #[test]
+    fn from_text_rejects_probabilities_outside_the_unit_interval() {
+        let fields = [
+            "baseline_p {}",
+            "loss_storm from_us=1 until_us=2 p={}",
+            "burst_storm from_us=1 until_us=2 p_bad={} p_gb=0.1 p_bg=0.5",
+            "burst_storm from_us=1 until_us=2 p_bad=0.5 p_gb={} p_bg=0.5",
+            "burst_storm from_us=1 until_us=2 p_bad=0.5 p_gb=0.1 p_bg={}",
+            "replay from_us=1 until_us=2 prob={} lag_us=5",
+        ];
+        for line in fields {
+            for ok in ["0", "0.25", "1"] {
+                let text = format!("cbfd-fault-plan v1\n{}", line.replace("{}", ok));
+                assert!(FaultPlan::from_text(&text).is_ok(), "{text}");
+            }
+            for bad in ["1.5", "2", "-0.1", "NaN", "inf", "-inf"] {
+                let text = format!("cbfd-fault-plan v1\n{}", line.replace("{}", bad));
+                assert!(FaultPlan::from_text(&text).is_err(), "{text}");
+            }
+        }
+    }
+
+    #[test]
+    fn from_text_rejects_node_ids_beyond_u32() {
+        let lines = [
+            ("v1", "crash at_us=5 node={}"),
+            ("v1", "cascade start_us=5 interval_us=1 nodes=1,{}"),
+            ("v1", "partition from_us=1 until_us=2 groups=0,{}"),
+            ("v1", "link_lag from_us=1 until_us=2 a={} b=1 lag_us=5"),
+            ("v1", "link_lag from_us=1 until_us=2 a=1 b={} lag_us=5"),
+            ("v2", "join at_us=5 node={}"),
+            ("v2", "leave at_us=5 node={}"),
+            ("v2", "rejoin at_us=5 node={}"),
+        ];
+        for (version, line) in lines {
+            let max = format!(
+                "cbfd-fault-plan {version}\n{}",
+                line.replace("{}", "4294967295")
+            );
+            assert!(FaultPlan::from_text(&max).is_ok(), "{max}");
+            // 2^32 + 1 used to truncate silently to node 1.
+            let wide = format!(
+                "cbfd-fault-plan {version}\n{}",
+                line.replace("{}", "4294967297")
+            );
+            assert!(FaultPlan::from_text(&wide).is_err(), "{wide}");
+        }
     }
 
     #[test]

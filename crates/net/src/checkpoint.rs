@@ -19,8 +19,7 @@
 //! same entries all serialize to the same bytes. The flat protocol
 //! ledgers of `cbfd_core::ledger` (DESIGN.md §16) lean on exactly
 //! that — they replaced the node's tree/hash containers without a
-//! version bump, and pre-rewrite snapshots restore into flat state
-//! unchanged.
+//! version bump.
 //!
 //! Types opt in by implementing [`Persist`]; the [`impl_persist!`](crate::impl_persist)
 //! macro generates field-by-field implementations for structs whose
@@ -37,10 +36,11 @@ pub const MAGIC: [u8; 8] = *b"CBFDCKPT";
 ///
 /// History: `1` — initial format; `2` — adaptive ◇P detection state
 /// (per-link estimators, suspicion log, gateway dedup ledger) joined
-/// `FdsNode`, and digests grew the optional suspicion field. Version-1
-/// snapshots cannot express that state, so the versions reject each
-/// other rather than misread trailing fields.
-pub const FORMAT_VERSION: u32 = 2;
+/// `FdsNode`, and digests grew the optional suspicion field; `3` —
+/// `NodeStats` dropped the shadow id-list byte ledger, 8 bytes less
+/// per `FdsNode`. Each version lays out its fields differently, so
+/// the versions reject each other rather than misread trailing fields.
+pub const FORMAT_VERSION: u32 = 3;
 
 /// Errors surfaced while writing or reading a checkpoint.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -638,16 +638,19 @@ mod tests {
             read_header(&mut Reader::new(&future.into_bytes())),
             Err(CheckpointError::UnsupportedVersion(FORMAT_VERSION + 1))
         );
-        // Mutual rejection across the v1 → v2 bump: a snapshot written
-        // by the pre-adaptive format must be refused by name, not
-        // misread (its FdsNode encoding lacks the adaptive fields).
-        let mut v1 = Writer::new();
-        v1.put_bytes(&MAGIC);
-        v1.put_u32(1);
-        assert_eq!(
-            read_header(&mut Reader::new(&v1.into_bytes())),
-            Err(CheckpointError::UnsupportedVersion(1))
-        );
+        // Mutual rejection across the bumps: a snapshot written by an
+        // older format must be refused by name, not misread — v1 lacks
+        // the adaptive fields, v2 still carries the shadow id-list
+        // byte ledger in every FdsNode's stats.
+        for old in 1..FORMAT_VERSION {
+            let mut w = Writer::new();
+            w.put_bytes(&MAGIC);
+            w.put_u32(old);
+            assert_eq!(
+                read_header(&mut Reader::new(&w.into_bytes())),
+                Err(CheckpointError::UnsupportedVersion(old))
+            );
+        }
         assert_eq!(
             read_header(&mut Reader::new(b"CB")),
             Err(CheckpointError::Truncated)

@@ -9,8 +9,13 @@
 //! byte-identical, and so must metrics, verdicts (detections and
 //! failure views), acting heads, and behaviour counters. The only
 //! permitted difference is `bytes_sent` (the bitmap wire layout is
-//! smaller); the reference's ledger must instead equal the optimized
-//! node's `bytes_sent_id_list` shadow accounting exactly.
+//! smaller).
+//!
+//! Message *contents* are compared through their size: a pass-through
+//! [`Priced`] wrapper prices every message a node receives under the
+//! historical id-list layout, the only one the reference speaks. A
+//! digest whose heard set differs by one member, or an update whose
+//! roster differs, changes that total even when no verdict moves.
 //!
 //! One residual hazard is deliberately avoided, not asserted away: an
 //! unmarked node that gets admitted into *two* clusters (both heads
@@ -25,11 +30,12 @@
 use std::collections::BTreeMap;
 
 use cbfd::cluster::{oracle, ClusterView, FormationConfig};
+use cbfd::core::message::{FdsMsg, HealthUpdate};
 use cbfd::core::node::{DetectionEvent, FdsNode, NodeStats};
 use cbfd::core::profile::{build_profiles, NodeProfile};
-use cbfd::core::reference::RefFdsNode;
+use cbfd::core::reference::{RefFdsNode, RefMsg};
 use cbfd::core::view::FailureView;
-use cbfd::net::actor::Actor;
+use cbfd::net::actor::{Actor, Ctx, TimerToken};
 use cbfd::net::energy::EnergyModel;
 use cbfd::net::metrics::SimMetrics;
 use cbfd::net::sim::Simulator;
@@ -39,8 +45,8 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
 /// Everything of a node's final state that must agree between the two
-/// implementations (bytes under the id-list layout included; only the
-/// live `bytes_sent` ledger is layout-dependent and zeroed out).
+/// implementations (only the live `bytes_sent` ledger is
+/// layout-dependent and zeroed out).
 #[derive(Debug, Clone, PartialEq)]
 struct NodeSummary {
     epoch: u64,
@@ -48,13 +54,16 @@ struct NodeSummary {
     known_failed: FailureView,
     detections: Vec<DetectionEvent>,
     stats: NodeStats,
+    /// Every message the node received, priced under the id-list
+    /// layout.
+    received_id_list_bytes: u64,
 }
 
 /// The common read-out surface of the two protocol actors.
 trait ProtocolNode: Actor + Sized {
     fn build(profile: NodeProfile, fds: FdsConfig, capacity: f64) -> Self;
     fn set_sleep(&mut self, plan: Vec<(u64, u64)>);
-    fn summary(&self) -> NodeSummary;
+    fn summary(&self, received_id_list_bytes: u64) -> NodeSummary;
 }
 
 fn normalized(stats: &NodeStats) -> NodeStats {
@@ -70,13 +79,14 @@ impl ProtocolNode for FdsNode {
     fn set_sleep(&mut self, plan: Vec<(u64, u64)>) {
         self.set_sleep_plan(plan);
     }
-    fn summary(&self) -> NodeSummary {
+    fn summary(&self, received_id_list_bytes: u64) -> NodeSummary {
         NodeSummary {
             epoch: self.epoch(),
             acting_head: self.acting_head(),
             known_failed: self.known_failed().clone(),
             detections: self.detections().to_vec(),
             stats: normalized(self.stats()),
+            received_id_list_bytes,
         }
     }
 }
@@ -88,14 +98,86 @@ impl ProtocolNode for RefFdsNode {
     fn set_sleep(&mut self, plan: Vec<(u64, u64)>) {
         self.set_sleep_plan(plan);
     }
-    fn summary(&self) -> NodeSummary {
+    fn summary(&self, received_id_list_bytes: u64) -> NodeSummary {
         NodeSummary {
             epoch: self.epoch(),
             acting_head: self.acting_head(),
             known_failed: self.known_failed().clone(),
             detections: self.detections().to_vec(),
             stats: normalized(self.stats()),
+            received_id_list_bytes,
         }
+    }
+}
+
+/// Wire size in bytes under the historical id-list layout: a digest
+/// carries a `u16` count plus a `u32` per heard member, and an update
+/// carries no roster version.
+trait IdListLen {
+    fn id_list_len(&self) -> usize;
+}
+
+impl IdListLen for RefMsg {
+    fn id_list_len(&self) -> usize {
+        self.encoded_len()
+    }
+}
+
+impl IdListLen for FdsMsg {
+    fn id_list_len(&self) -> usize {
+        fn ids(n: usize) -> usize {
+            2 + 4 * n
+        }
+        fn update(u: &HealthUpdate) -> usize {
+            4 + 4
+                + 8
+                + 1
+                + ids(u.new_failed.len())
+                + ids(u.all_failed.len())
+                + ids(u.joined.len())
+                + ids(u.roster.len())
+                + 1
+                + if u.aggregate.is_some() { 20 } else { 0 }
+        }
+        match self {
+            FdsMsg::Digest(d) => 1 + 4 + ids(d.heard.count()) + 2 + 8 * d.readings.len(),
+            FdsMsg::HealthUpdate(u) => 1 + update(u),
+            FdsMsg::PeerForward { update: u, .. } => 1 + 4 + update(u),
+            // Every other message kept its layout across the bitmap pass.
+            other => other.encoded_len(),
+        }
+    }
+}
+
+/// A protocol actor that prices every message it receives under the
+/// id-list layout. It only delegates, so the simulator's RNG use and
+/// every trace record are exactly those of the bare actor.
+struct Priced<A> {
+    inner: A,
+    received_id_list_bytes: u64,
+}
+
+impl<A: Actor> Actor for Priced<A>
+where
+    A::Msg: IdListLen,
+{
+    type Msg = A::Msg;
+
+    fn on_start(&mut self, ctx: &mut Ctx<'_, A::Msg>) {
+        self.inner.on_start(ctx);
+    }
+    fn on_message(&mut self, ctx: &mut Ctx<'_, A::Msg>, from: NodeId, msg: &A::Msg) {
+        self.received_id_list_bytes += msg.id_list_len() as u64;
+        self.inner.on_message(ctx, from, msg);
+    }
+    fn on_timer(&mut self, ctx: &mut Ctx<'_, A::Msg>, token: TimerToken) {
+        self.inner.on_timer(ctx, token);
+    }
+    fn on_leave(&mut self, ctx: &mut Ctx<'_, A::Msg>) {
+        self.inner.on_leave(ctx);
+    }
+    fn on_rejoin(&mut self, ctx: &mut Ctx<'_, A::Msg>) {
+        self.inner.on_rejoin(ctx);
     }
 }
 
@@ -113,7 +195,10 @@ struct Workload {
     seed: u64,
 }
 
-fn run_workload<A: ProtocolNode>(w: &Workload) -> (Vec<TraceRecord>, SimMetrics, Vec<NodeSummary>) {
+fn run_workload<A: ProtocolNode>(w: &Workload) -> (Vec<TraceRecord>, SimMetrics, Vec<NodeSummary>)
+where
+    A::Msg: IdListLen,
+{
     let phi = w.fds.heartbeat_interval;
     let capacity = EnergyModel::default().initial;
     let profiles = &w.profiles;
@@ -128,7 +213,10 @@ fn run_workload<A: ProtocolNode>(w: &Workload) -> (Vec<TraceRecord>, SimMetrics,
             if let Some((_, plan)) = sleeps.iter().find(|(s, _)| *s == id) {
                 node.set_sleep(plan.clone());
             }
-            node
+            Priced {
+                inner: node,
+                received_id_list_bytes: 0,
+            }
         },
     );
     sim.set_energy_model(EnergyModel::default());
@@ -144,7 +232,10 @@ fn run_workload<A: ProtocolNode>(w: &Workload) -> (Vec<TraceRecord>, SimMetrics,
     let summaries = w
         .topology
         .node_ids()
-        .map(|id| sim.actor(id).summary())
+        .map(|id| {
+            let node = sim.actor(id);
+            node.inner.summary(node.received_id_list_bytes)
+        })
         .collect();
     (trace, metrics, summaries)
 }
@@ -315,14 +406,15 @@ fn bitmap_and_set_based_implementations_agree_on_randomized_workloads() {
 #[test]
 fn id_list_byte_shadow_accounting_matches_reference_exactly() {
     // Beyond per-node equality (covered above), pin the aggregate:
-    // summed over a workload, the optimized node's id-list shadow
-    // ledger is exactly what the set-based implementation transmits.
+    // summed over a workload, everything the bitmap nodes received is
+    // priced under the id-list layout exactly as what the set-based
+    // nodes received.
     let mut rng = StdRng::seed_from_u64(0xB17E5);
     let workload = marked_workload(7, &mut rng, false);
     let (_, _, new_nodes) = run_workload::<FdsNode>(&workload);
     let (_, _, ref_nodes) = run_workload::<RefFdsNode>(&workload);
-    let new_total: u64 = new_nodes.iter().map(|n| n.stats.bytes_sent_id_list).sum();
-    let ref_total: u64 = ref_nodes.iter().map(|n| n.stats.bytes_sent_id_list).sum();
-    assert!(new_total > 0, "workload transmitted nothing");
+    let new_total: u64 = new_nodes.iter().map(|n| n.received_id_list_bytes).sum();
+    let ref_total: u64 = ref_nodes.iter().map(|n| n.received_id_list_bytes).sum();
+    assert!(new_total > 0, "workload received nothing");
     assert_eq!(new_total, ref_total);
 }
