@@ -170,7 +170,8 @@ fn run_scenario(s: &Scenario) -> Measurement {
         },
     );
     for &(lag_from, lag_to) in &lag_links {
-        sim.set_link_lag(lag_from, lag_to, SimDuration::from_millis(3));
+        sim.faults_mut()
+            .set_link_lag(lag_from, lag_to, SimDuration::from_millis(3));
     }
     // A sprinkle of crashes keeps the dead-receiver path warm.
     for k in 0..(s.n / 100).max(1) {

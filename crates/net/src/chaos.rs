@@ -23,6 +23,7 @@
 //! caller-supplied oracle.
 
 use crate::actor::Actor;
+use crate::faults::ChannelFaults;
 use crate::id::NodeId;
 use crate::loss::GilbertElliott;
 use crate::radio::RadioConfig;
@@ -557,16 +558,8 @@ pub trait PlanHost {
     fn set_dormant(&mut self, node: NodeId);
     /// Swaps the channel configuration.
     fn set_radio(&mut self, radio: RadioConfig);
-    /// Imposes a partition (`group_of` has one entry per node).
-    fn set_partition(&mut self, group_of: Vec<u32>);
-    /// Heals any partition.
-    fn clear_partition(&mut self);
-    /// Adds delivery lag to the directed link `from → to`.
-    fn set_link_lag(&mut self, from: NodeId, to: NodeId, extra: SimDuration);
-    /// Removes the lag on `from → to`.
-    fn remove_link_lag(&mut self, from: NodeId, to: NodeId);
-    /// Sets message duplication.
-    fn set_duplication(&mut self, probability: f64, lag: SimDuration);
+    /// The partition, per-link lag and duplication state.
+    fn faults_mut(&mut self) -> &mut ChannelFaults;
 }
 
 macro_rules! impl_plan_host_body {
@@ -598,20 +591,8 @@ macro_rules! impl_plan_host_body {
         fn set_radio(&mut self, radio: RadioConfig) {
             self.set_radio(radio);
         }
-        fn set_partition(&mut self, group_of: Vec<u32>) {
-            self.set_partition(group_of);
-        }
-        fn clear_partition(&mut self) {
-            self.clear_partition();
-        }
-        fn set_link_lag(&mut self, from: NodeId, to: NodeId, extra: SimDuration) {
-            self.set_link_lag(from, to, extra);
-        }
-        fn remove_link_lag(&mut self, from: NodeId, to: NodeId) {
-            self.remove_link_lag(from, to);
-        }
-        fn set_duplication(&mut self, probability: f64, lag: SimDuration) {
-            self.set_duplication(probability, lag);
+        fn faults_mut(&mut self) -> &mut ChannelFaults {
+            self.faults_mut()
         }
     };
 }
@@ -696,18 +677,18 @@ fn apply_action<H: PlanHost>(host: &mut H, action: &Action, baseline_p: f64, n: 
         Action::RestoreRadio => host.set_radio(RadioConfig::bernoulli(baseline_p)),
         Action::PartitionOn(groups) => {
             if groups.len() == n {
-                host.set_partition(groups.clone());
+                host.faults_mut().set_partition(groups.clone());
             }
         }
-        Action::PartitionOff => host.clear_partition(),
+        Action::PartitionOff => host.faults_mut().clear_partition(),
         Action::LinkLagOn(a, b, lag) => {
             if a.index() < n && b.index() < n {
-                host.set_link_lag(*a, *b, *lag);
+                host.faults_mut().set_link_lag(*a, *b, *lag);
             }
         }
-        Action::LinkLagOff(a, b) => host.remove_link_lag(*a, *b),
-        Action::ReplayOn(prob, lag) => host.set_duplication(*prob, *lag),
-        Action::ReplayOff => host.set_duplication(0.0, SimDuration::ZERO),
+        Action::LinkLagOff(a, b) => host.faults_mut().remove_link_lag(*a, *b),
+        Action::ReplayOn(prob, lag) => host.faults_mut().set_duplication(*prob, *lag),
+        Action::ReplayOff => host.faults_mut().set_duplication(0.0, SimDuration::ZERO),
     }
 }
 

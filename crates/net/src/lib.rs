@@ -54,6 +54,7 @@ pub mod chaos;
 pub mod checkpoint;
 pub mod energy;
 pub mod event;
+pub mod faults;
 pub mod geometry;
 pub mod id;
 pub mod loss;

@@ -95,11 +95,7 @@ impl RadioConfig {
 
     /// Draws a delivery delay for one (transmission, receiver) pair.
     pub(crate) fn draw_delay<R: Rng + ?Sized>(&self, rng: &mut R) -> SimDuration {
-        if self.jitter.is_zero() {
-            self.delay
-        } else {
-            self.delay + SimDuration::from_micros(rng.random_range(0..=self.jitter.as_micros()))
-        }
+        draw_delay(self.delay, self.jitter, rng)
     }
 
     /// Mutable access to the loss model (used by the simulator on each
@@ -112,6 +108,21 @@ impl RadioConfig {
     /// to snapshot the channel state).
     pub(crate) fn loss(&self) -> &dyn LossModel {
         self.loss.as_ref()
+    }
+}
+
+/// The one delivery-delay draw: `delay` plus uniform jitter in
+/// `[0, jitter]` µs, drawing nothing when `jitter` is zero. Every
+/// engine calls it, so their delay draws are draw-for-draw identical.
+pub(crate) fn draw_delay<R: Rng + ?Sized>(
+    delay: SimDuration,
+    jitter: SimDuration,
+    rng: &mut R,
+) -> SimDuration {
+    if jitter.is_zero() {
+        delay
+    } else {
+        delay + SimDuration::from_micros(rng.random_range(0..=jitter.as_micros()))
     }
 }
 

@@ -7,11 +7,17 @@
 //! Crashes follow the paper's **fail-stop** model — a crashed node
 //! never transmits, receives, or fires timers again. Runs are fully
 //! deterministic for a given seed.
+//!
+//! Faults beyond the paper's channel — partitions, per-link lag and
+//! stale replays — live in the engine's [`ChannelFaults`], reached
+//! through [`Simulator::faults_mut`]; the transmit loop asks it per
+//! copy in the draw order that type documents.
 
 use crate::actor::{Actor, Command, Ctx, TimerToken};
 use crate::checkpoint::{self, CheckpointError, Persist, Reader, Writer};
 use crate::energy::{EnergyBook, EnergyModel};
 use crate::event::{EventKind, EventQueue};
+use crate::faults::ChannelFaults;
 use crate::id::NodeId;
 use crate::loss::LossSnapshot;
 use crate::metrics::SimMetrics;
@@ -21,7 +27,7 @@ use crate::time::{SimDuration, SimTime};
 use crate::topology::Topology;
 use crate::trace::{Trace, TraceKind, TraceRecord};
 use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
+use rand::SeedableRng;
 
 /// A summary of one *effective* simulation event, handed to the
 /// observer of [`Simulator::run_until_observed`] after the event has
@@ -302,21 +308,8 @@ pub struct Simulator<A: Actor> {
     started: bool,
     /// Last instant solar harvesting was credited.
     last_harvest: SimTime,
-    /// Optional network partition: group id per node. Copies between
-    /// different groups are dropped at transmit time.
-    partition: Option<Vec<u32>>,
-    /// Extra per-directed-link delivery delay (chaos interposer),
-    /// sorted by `(from, to)`. A sorted vec instead of a tree map so
-    /// [`Simulator::transmit`] can prefetch the source's contiguous
-    /// run once per transmission and probe only that (usually empty)
-    /// slice per surviving copy.
-    link_lag: Vec<(NodeId, NodeId, SimDuration)>,
-    /// Probability that a surviving copy is duplicated (chaos
-    /// interposer); `0.0` keeps the transmit path draw-for-draw
-    /// identical to a simulator without the feature.
-    dup_probability: f64,
-    /// Extra delay of the duplicated (stale) copy.
-    dup_lag: SimDuration,
+    /// Partition, per-link lag and duplication (chaos interposers).
+    faults: ChannelFaults,
     /// Recycled neighbour-list buffer for [`Simulator::transmit`]
     /// (avoids an allocation per transmission on the hot path).
     scratch_neighbors: Vec<NodeId>,
@@ -353,10 +346,7 @@ impl<A: Actor> Simulator<A> {
             node_timers: vec![Vec::new(); n],
             started: false,
             last_harvest: SimTime::ZERO,
-            partition: None,
-            link_lag: Vec::new(),
-            dup_probability: 0.0,
-            dup_lag: SimDuration::ZERO,
+            faults: ChannelFaults::new(n),
             scratch_neighbors: Vec::new(),
             scratch_commands: Vec::new(),
             topology,
@@ -572,73 +562,11 @@ impl<A: Actor> Simulator<A> {
 
     // ------------------------------------------- chaos interposer API
 
-    /// Imposes a network partition: `group_of[i]` is the partition
-    /// group of node `i`, and every copy offered across group
-    /// boundaries is dropped (counted and traced as a channel loss).
-    /// Takes effect from the next transmission; copies already in
-    /// flight are delivered.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `group_of` has one entry per node.
-    pub fn set_partition(&mut self, group_of: Vec<u32>) {
-        assert_eq!(
-            group_of.len(),
-            self.topology.len(),
-            "partition must assign a group to every node"
-        );
-        self.partition = Some(group_of);
-    }
-
-    /// Heals any partition imposed by [`Simulator::set_partition`].
-    pub fn clear_partition(&mut self) {
-        self.partition = None;
-    }
-
-    /// Adds `extra` delivery delay to every copy travelling over the
-    /// directed link `from → to` (per-link lag injection). Replaces
-    /// any previous lag on that link.
-    pub fn set_link_lag(&mut self, from: NodeId, to: NodeId, extra: SimDuration) {
-        match self
-            .link_lag
-            .binary_search_by_key(&(from, to), |&(f, t, _)| (f, t))
-        {
-            Ok(i) => self.link_lag[i].2 = extra,
-            Err(i) => self.link_lag.insert(i, (from, to, extra)),
-        }
-    }
-
-    /// Removes the lag on the directed link `from → to`, if any.
-    pub fn remove_link_lag(&mut self, from: NodeId, to: NodeId) {
-        if let Ok(i) = self
-            .link_lag
-            .binary_search_by_key(&(from, to), |&(f, t, _)| (f, t))
-        {
-            self.link_lag.remove(i);
-        }
-    }
-
-    /// Removes all per-link lags.
-    pub fn clear_link_lags(&mut self) {
-        self.link_lag.clear();
-    }
-
-    /// Duplicates each surviving copy with probability `probability`,
-    /// delivering the duplicate `lag` later than the original — a
-    /// stale-replay fault the paper's channel model excludes. A
-    /// probability of `0.0` disables the feature and leaves the
-    /// transmit path's random stream untouched.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0.0 <= probability <= 1.0`.
-    pub fn set_duplication(&mut self, probability: f64, lag: SimDuration) {
-        assert!(
-            (0.0..=1.0).contains(&probability),
-            "duplication probability must be in [0, 1]"
-        );
-        self.dup_probability = probability;
-        self.dup_lag = lag;
+    /// The channel faults (partition, per-link lag, duplication)
+    /// applied from the next transmission on; copies already in flight
+    /// keep their outcome.
+    pub fn faults_mut(&mut self) -> &mut ChannelFaults {
+        &mut self.faults
     }
 
     /// Runs until the event queue is exhausted or until the next
@@ -677,19 +605,6 @@ impl<A: Actor> Simulator<A> {
         if self.now < deadline {
             self.now = deadline;
         }
-    }
-
-    /// Runs until no events remain, up to `max_events` (a safety stop
-    /// for protocols that never quiesce). Returns the number of events
-    /// processed.
-    pub fn run_to_quiescence(&mut self, max_events: u64) -> u64 {
-        self.ensure_started();
-        let mut processed = 0;
-        while processed < max_events && !self.queue.is_empty() {
-            self.step();
-            processed += 1;
-        }
-        processed
     }
 
     /// Processes exactly one pending event (after delivering start
@@ -975,30 +890,14 @@ impl<A: Actor> Simulator<A> {
             });
         }
         let from_pos = self.topology.position(from);
-        // Lag entries for this source, found once per transmission;
-        // the per-copy probe below then touches only this slice, which
-        // is empty for every source without an injected lag.
-        let src_lags: &[(NodeId, NodeId, SimDuration)] = if self.link_lag.is_empty() {
-            &[]
-        } else {
-            let lo = self.link_lag.partition_point(|&(f, _, _)| f < from);
-            let hi = lo + self.link_lag[lo..].partition_point(|&(f, _, _)| f == from);
-            &self.link_lag[lo..hi]
-        };
+        let lags = self.faults.lag_run(from);
         // The payload is stored once; every scheduled copy carries a
         // handle, so fan-out degree never clones the message.
         let payload = self.payloads.insert(msg);
         let mut refs = 0u32;
         for &to in neighbors.iter() {
-            // Partition drops are deterministic and consume no random
-            // draws, so healing a partition restores the exact
-            // unpartitioned random stream.
-            let partitioned = self
-                .partition
-                .as_ref()
-                .is_some_and(|g| g[from.index()] != g[to.index()]);
             let to_pos = self.topology.position(to);
-            let lost = partitioned
+            let lost = self.faults.blocks(from, to)
                 || self
                     .radio
                     .loss_mut()
@@ -1015,12 +914,7 @@ impl<A: Actor> Simulator<A> {
                 }
                 continue;
             }
-            let mut delay = self.radio.draw_delay(&mut self.rng);
-            if !src_lags.is_empty() {
-                if let Ok(i) = src_lags.binary_search_by_key(&to, |&(_, t, _)| t) {
-                    delay = delay + src_lags[i].2;
-                }
-            }
+            let delay = self.radio.draw_delay(&mut self.rng) + lags.extra(to);
             refs += 1;
             self.queue.schedule(
                 self.now + delay,
@@ -1030,12 +924,11 @@ impl<A: Actor> Simulator<A> {
                     msg: payload,
                 },
             );
-            // Stale-replay injection: a duplicate of the surviving
-            // copy, delivered `dup_lag` later.
-            if self.dup_probability > 0.0 && self.rng.random_bool(self.dup_probability) {
+            // Stale-replay injection: a late duplicate of the copy.
+            if let Some(dup_lag) = self.faults.duplicate(&mut self.rng) {
                 refs += 1;
                 self.queue.schedule(
-                    self.now + delay + self.dup_lag,
+                    self.now + delay + dup_lag,
                     EventKind::Deliver {
                         to,
                         from,
@@ -1094,10 +987,7 @@ where
         self.node_timers.persist(&mut w);
         self.started.persist(&mut w);
         self.last_harvest.persist(&mut w);
-        self.partition.persist(&mut w);
-        self.link_lag.persist(&mut w);
-        self.dup_probability.persist(&mut w);
-        self.dup_lag.persist(&mut w);
+        self.faults.persist(&mut w);
         Ok(w.into_bytes())
     }
 
@@ -1133,27 +1023,18 @@ where
         let node_timers: Vec<Vec<(u64, u32)>> = Vec::restore(&mut r)?;
         let started = bool::restore(&mut r)?;
         let last_harvest = SimTime::restore(&mut r)?;
-        let partition: Option<Vec<u32>> = Option::restore(&mut r)?;
-        let link_lag = Vec::restore(&mut r)?;
-        let dup_probability = f64::restore(&mut r)?;
-        let dup_lag = SimDuration::restore(&mut r)?;
+        let n = topology.len();
+        let faults = ChannelFaults::restore(&mut r, n)?;
         if r.remaining() != 0 {
             return Err(CheckpointError::Corrupt("trailing bytes"));
         }
-        let n = topology.len();
         if actors.len() != n
             || alive.len() != n
             || departed.len() != n
             || dormant.len() != n
             || node_timers.len() != n
-            || partition.as_ref().is_some_and(|g| g.len() != n)
         {
             return Err(CheckpointError::Corrupt("population size mismatch"));
-        }
-        if !(0.0..=1.0).contains(&dup_probability) {
-            return Err(CheckpointError::Corrupt(
-                "duplication probability out of range",
-            ));
         }
         Ok(Simulator {
             topology,
@@ -1173,10 +1054,7 @@ where
             node_timers,
             started,
             last_harvest,
-            partition,
-            link_lag,
-            dup_probability,
-            dup_lag,
+            faults,
             scratch_neighbors: Vec::new(),
             scratch_commands: Vec::new(),
         })
@@ -1431,7 +1309,11 @@ mod tests {
             ..Chatter::default()
         });
         // 2 pings per node = 4 deliveries total (one per neighbour copy).
-        let processed = sim.run_to_quiescence(1_000);
+        let mut processed = 0;
+        while sim.step_one() {
+            processed += 1;
+            assert!(processed <= 1_000, "the queue must drain");
+        }
         assert_eq!(processed, 4);
         assert!(!sim.step_one());
     }
@@ -1712,14 +1594,14 @@ mod tests {
         let mut sim = Simulator::new(triangle_topology(), RadioConfig::lossless(), 1, |_| {
             Chatter::default()
         });
-        sim.set_partition(vec![0, 1, 0]);
+        sim.faults_mut().set_partition(vec![0, 1, 0]);
         sim.actor_mut(NodeId(0)).pings = 1;
         sim.run_until(SimTime::from_millis(5));
         // Node 1 is across the partition: its copy is dropped as loss.
         assert!(sim.actor(NodeId(1)).heard.is_empty());
         assert_eq!(sim.actor(NodeId(2)).heard.len(), 1);
         assert_eq!(sim.metrics().losses, 1);
-        sim.clear_partition();
+        sim.faults_mut().clear_partition();
         // After healing, need fresh traffic: drive via a timer-free
         // re-broadcast by crashing nothing and re-running on_start is
         // not possible, so check the healed loss count stays flat.
@@ -1732,7 +1614,8 @@ mod tests {
         let mut sim = Simulator::new(triangle_topology(), RadioConfig::lossless(), 1, |_| {
             Chatter::default()
         });
-        sim.set_link_lag(NodeId(0), NodeId(1), SimDuration::from_millis(7));
+        sim.faults_mut()
+            .set_link_lag(NodeId(0), NodeId(1), SimDuration::from_millis(7));
         sim.actor_mut(NodeId(0)).pings = 1;
         let mut arrivals = Vec::new();
         sim.run_until_observed(SimTime::from_millis(20), &mut |s, ev| {
@@ -1750,7 +1633,8 @@ mod tests {
             pings: 10,
             ..Chatter::default()
         });
-        sim.set_duplication(1.0, SimDuration::from_millis(3));
+        sim.faults_mut()
+            .set_duplication(1.0, SimDuration::from_millis(3));
         sim.run_until(SimTime::from_millis(20));
         // Every surviving copy arrives twice: 10 pings per node → 20
         // originals + 20 duplicates.
@@ -1949,7 +1833,8 @@ mod tests {
                 },
             );
             sim.enable_trace();
-            sim.set_duplication(0.2, SimDuration::from_millis(2));
+            sim.faults_mut()
+                .set_duplication(0.2, SimDuration::from_millis(2));
             sim
         };
         // Uninterrupted reference run.
@@ -1999,5 +1884,59 @@ mod tests {
             );
         }
         assert!(Simulator::<Chatter>::restore(&bytes).is_ok());
+    }
+
+    #[test]
+    fn restore_rejects_an_out_of_order_link_lag_table() {
+        use crate::tiled::TiledSim;
+        let (a, b) = (
+            (NodeId(0), NodeId(1), SimDuration::from_millis(3)),
+            (NodeId(1), NodeId(2), SimDuration::from_millis(5)),
+        );
+        let table = |entries: Vec<(NodeId, NodeId, SimDuration)>| {
+            let mut w = Writer::new();
+            entries.persist(&mut w);
+            w.into_bytes()
+        };
+        let (sorted, swapped) = (table(vec![a, b]), table(vec![b, a]));
+        // Swaps the two entries in place; the snapshot otherwise stays
+        // well formed, so only the ordering check can refuse it.
+        let corrupt = |mut bytes: Vec<u8>| {
+            let at = bytes
+                .windows(sorted.len())
+                .position(|w| w == sorted.as_slice())
+                .expect("the lag table is in the snapshot");
+            bytes[at..at + sorted.len()].copy_from_slice(&swapped);
+            bytes
+        };
+        let lagged = |faults: &mut ChannelFaults| {
+            faults.set_link_lag(b.0, b.1, b.2);
+            faults.set_link_lag(a.0, a.1, a.2);
+        };
+        let mut sim = Simulator::new(triangle_topology(), RadioConfig::lossless(), 1, |_| {
+            Chatter::default()
+        });
+        lagged(sim.faults_mut());
+        let bytes = sim.checkpoint().unwrap();
+        assert!(Simulator::<Chatter>::restore(&bytes).is_ok());
+        assert_eq!(
+            Simulator::<Chatter>::restore(&corrupt(bytes)).unwrap_err(),
+            CheckpointError::Corrupt("link lag table out of order")
+        );
+        let mut tiled = TiledSim::new(
+            triangle_topology(),
+            RadioConfig::lossless(),
+            1,
+            2,
+            1,
+            |_| Chatter::default(),
+        );
+        lagged(tiled.faults_mut());
+        let bytes = tiled.checkpoint().unwrap();
+        assert!(TiledSim::<Chatter>::restore(&bytes).is_ok());
+        assert_eq!(
+            TiledSim::<Chatter>::restore(&corrupt(bytes)).unwrap_err(),
+            CheckpointError::Corrupt("link lag table out of order")
+        );
     }
 }

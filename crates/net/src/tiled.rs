@@ -37,23 +37,30 @@
 //! legacy `Simulator` (global RNG, insertion-order tie-breaks): the
 //! legacy engine's semantics cannot be reproduced under tiling and are
 //! left untouched.
+//!
+//! All three engines keep partition, per-link lag and duplication in
+//! one [`ChannelFaults`] each (reached through `faults_mut()`); tiles
+//! read the engine's copy through the borrowed `Shared` window view.
+//! Each engine's transmit loop asks it per copy in the same draw order
+//! (blocked, loss, delay, lag, duplication), from the sender's stream.
 
 use crate::actor::{Actor, Command, Ctx, TimerToken};
 use crate::checkpoint::{self, CheckpointError, Persist, Reader, Writer};
 use crate::energy::EnergyModel;
 use crate::event::EventKind;
+use crate::faults::ChannelFaults;
 use crate::geometry::Point;
 use crate::id::NodeId;
 use crate::loss::{LossModel, LossSnapshot};
 use crate::metrics::SimMetrics;
-use crate::radio::RadioConfig;
+use crate::radio::{draw_delay, RadioConfig};
 use crate::rng::derive_seed;
 use crate::sim::{unpack_timer, PayloadArena, PayloadId, TimerSlab};
 use crate::time::{SimDuration, SimTime};
 use crate::topology::Topology;
 use crate::trace::{Trace, TraceKind, TraceRecord};
 use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
+use rand::SeedableRng;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::time::Instant;
@@ -356,30 +363,6 @@ pub fn imbalance_of(remaining: &[f64]) -> f64 {
 
 // ------------------------------------------------------ shared helpers
 
-/// Mirrors `RadioConfig::draw_delay` exactly; both engines share it so
-/// their delay draws are draw-for-draw identical.
-fn draw_delay(delay: SimDuration, jitter: SimDuration, rng: &mut StdRng) -> SimDuration {
-    if jitter.is_zero() {
-        delay
-    } else {
-        delay + SimDuration::from_micros(rng.random_range(0..=jitter.as_micros()))
-    }
-}
-
-/// The contiguous `link_lag` run of source `from` (same prefetch trick
-/// as `Simulator::transmit`).
-fn lag_slice(
-    link_lag: &[(NodeId, NodeId, SimDuration)],
-    from: NodeId,
-) -> &[(NodeId, NodeId, SimDuration)] {
-    if link_lag.is_empty() {
-        return &[];
-    }
-    let lo = link_lag.partition_point(|&(f, _, _)| f < from);
-    let hi = lo + link_lag[lo..].partition_point(|&(f, _, _)| f == from);
-    &link_lag[lo..hi]
-}
-
 fn assert_lookahead(radio: &RadioConfig) {
     assert!(
         radio.delay() >= SimDuration::from_micros(1),
@@ -613,10 +596,7 @@ pub struct CanonicalSim<A: Actor> {
     timers: TimerSlab,
     node_timers: Vec<Vec<(u64, u32)>>,
     started: bool,
-    partition: Option<Vec<u32>>,
-    link_lag: Vec<(NodeId, NodeId, SimDuration)>,
-    dup_probability: f64,
-    dup_lag: SimDuration,
+    faults: ChannelFaults,
     scratch_neighbors: Vec<NodeId>,
     scratch_commands: Vec<Command<A::Msg>>,
 }
@@ -655,10 +635,7 @@ impl<A: Actor> CanonicalSim<A> {
             timers: TimerSlab::default(),
             node_timers: vec![Vec::new(); n],
             started: false,
-            partition: None,
-            link_lag: Vec::new(),
-            dup_probability: 0.0,
-            dup_lag: SimDuration::ZERO,
+            faults: ChannelFaults::new(n),
             scratch_neighbors: Vec::new(),
             scratch_commands: Vec::new(),
             topology,
@@ -807,60 +784,9 @@ impl<A: Actor> CanonicalSim<A> {
         self.dormant[node.index()] = true;
     }
 
-    /// Imposes a network partition (`Simulator::set_partition`
-    /// semantics).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `group_of` has one entry per node.
-    pub fn set_partition(&mut self, group_of: Vec<u32>) {
-        assert_eq!(
-            group_of.len(),
-            self.topology.len(),
-            "partition must assign a group to every node"
-        );
-        self.partition = Some(group_of);
-    }
-
-    /// Heals any partition.
-    pub fn clear_partition(&mut self) {
-        self.partition = None;
-    }
-
-    /// Adds `extra` delivery delay to the directed link `from → to`.
-    pub fn set_link_lag(&mut self, from: NodeId, to: NodeId, extra: SimDuration) {
-        match self
-            .link_lag
-            .binary_search_by_key(&(from, to), |&(f, t, _)| (f, t))
-        {
-            Ok(i) => self.link_lag[i].2 = extra,
-            Err(i) => self.link_lag.insert(i, (from, to, extra)),
-        }
-    }
-
-    /// Removes the lag on `from → to`, if any.
-    pub fn remove_link_lag(&mut self, from: NodeId, to: NodeId) {
-        if let Ok(i) = self
-            .link_lag
-            .binary_search_by_key(&(from, to), |&(f, t, _)| (f, t))
-        {
-            self.link_lag.remove(i);
-        }
-    }
-
-    /// Duplicates surviving copies with `probability`, the duplicate
-    /// arriving `lag` later.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0.0 <= probability <= 1.0`.
-    pub fn set_duplication(&mut self, probability: f64, lag: SimDuration) {
-        assert!(
-            (0.0..=1.0).contains(&probability),
-            "duplication probability must be in [0, 1]"
-        );
-        self.dup_probability = probability;
-        self.dup_lag = lag;
+    /// The channel faults (`Simulator::faults_mut` semantics).
+    pub fn faults_mut(&mut self) -> &mut ChannelFaults {
+        &mut self.faults
     }
 
     /// Runs until the next pending event lies beyond `deadline`
@@ -1078,12 +1004,8 @@ impl<A: Actor> CanonicalSim<A> {
         let delay_base = self.radio.delay();
         let jitter = self.radio.jitter();
         for &to in neighbors.iter() {
-            let partitioned = self
-                .partition
-                .as_ref()
-                .is_some_and(|g| g[from.index()] != g[to.index()]);
             let to_pos = self.topology.position(to);
-            let lost = partitioned
+            let lost = self.faults.blocks(from, to)
                 || self
                     .radio
                     .loss_mut()
@@ -1093,13 +1015,8 @@ impl<A: Actor> CanonicalSim<A> {
                 self.push_trace(TraceKind::Loss, to, from);
                 continue;
             }
-            let mut delay = draw_delay(delay_base, jitter, &mut self.rngs[i]);
-            let src_lags = lag_slice(&self.link_lag, from);
-            if !src_lags.is_empty() {
-                if let Ok(k) = src_lags.binary_search_by_key(&to, |&(_, t, _)| t) {
-                    delay = delay + src_lags[k].2;
-                }
-            }
+            let delay = draw_delay(delay_base, jitter, &mut self.rngs[i])
+                + self.faults.lag_run(from).extra(to);
             let seq = self.next_seq[i];
             self.next_seq[i] += 1;
             self.heap.push(
@@ -1115,11 +1032,11 @@ impl<A: Actor> CanonicalSim<A> {
                     msg: msg.clone(),
                 },
             );
-            if self.dup_probability > 0.0 && self.rngs[i].random_bool(self.dup_probability) {
+            if let Some(dup_lag) = self.faults.duplicate(&mut self.rngs[i]) {
                 let seq = self.next_seq[i];
                 self.next_seq[i] += 1;
                 self.heap.push(
-                    self.now + delay + self.dup_lag,
+                    self.now + delay + dup_lag,
                     EventPrio {
                         birth: self.now,
                         node: from.0,
@@ -1213,12 +1130,9 @@ struct Shared<'a> {
     topology: &'a Topology,
     tile_of: &'a [u32],
     local_of: &'a [u32],
-    partition: &'a Option<Vec<u32>>,
-    link_lag: &'a [(NodeId, NodeId, SimDuration)],
+    faults: &'a ChannelFaults,
     delay: SimDuration,
     jitter: SimDuration,
-    dup_probability: f64,
-    dup_lag: SimDuration,
     trace_enabled: bool,
 }
 
@@ -1550,17 +1464,13 @@ impl<A: Actor> Tile<A> {
         self.energy.charge_tx(lf, self.now);
         self.push_trace(shared, TraceKind::Transmit, from, from);
         let from_pos = shared.topology.position(from);
-        let src_lags = lag_slice(shared.link_lag, from);
+        let lags = shared.faults.lag_run(from);
         let payload = self.payloads.insert(msg);
         self.tx_dests.clear();
         let mut refs = 0u32;
         for &to in neighbors.iter() {
-            let partitioned = shared
-                .partition
-                .as_ref()
-                .is_some_and(|g| g[from.index()] != g[to.index()]);
             let to_pos = shared.topology.position(to);
-            let lost = partitioned
+            let lost = shared.faults.blocks(from, to)
                 || self
                     .loss
                     .is_lost(from, to, from_pos, to_pos, &mut self.rngs[lf]);
@@ -1569,12 +1479,8 @@ impl<A: Actor> Tile<A> {
                 self.push_trace(shared, TraceKind::Loss, to, from);
                 continue;
             }
-            let mut delay = draw_delay(shared.delay, shared.jitter, &mut self.rngs[lf]);
-            if !src_lags.is_empty() {
-                if let Ok(k) = src_lags.binary_search_by_key(&to, |&(_, t, _)| t) {
-                    delay = delay + src_lags[k].2;
-                }
-            }
+            let delay =
+                draw_delay(shared.delay, shared.jitter, &mut self.rngs[lf]) + lags.extra(to);
             let at = self.now + delay;
             let seq = self.next_seq[lf];
             self.next_seq[lf] += 1;
@@ -1599,8 +1505,8 @@ impl<A: Actor> Tile<A> {
             } else {
                 self.push_cross(dst, at, prio, to, from, payload);
             }
-            if shared.dup_probability > 0.0 && self.rngs[lf].random_bool(shared.dup_probability) {
-                let dup_at = at + shared.dup_lag;
+            if let Some(dup_lag) = shared.faults.duplicate(&mut self.rngs[lf]) {
+                let dup_at = at + dup_lag;
                 let seq = self.next_seq[lf];
                 self.next_seq[lf] += 1;
                 let dup_prio = EventPrio {
@@ -1673,10 +1579,7 @@ pub struct TiledSim<A: Actor> {
     now: SimTime,
     started: bool,
     ext_seq: u64,
-    partition: Option<Vec<u32>>,
-    link_lag: Vec<(NodeId, NodeId, SimDuration)>,
-    dup_probability: f64,
-    dup_lag: SimDuration,
+    faults: ChannelFaults,
     trace: Trace,
     model: EnergyModel,
     workers: usize,
@@ -1794,10 +1697,7 @@ impl<A: Actor> TiledSim<A> {
             now: SimTime::ZERO,
             started: false,
             ext_seq: 0,
-            partition: None,
-            link_lag: Vec::new(),
-            dup_probability: 0.0,
-            dup_lag: SimDuration::ZERO,
+            faults: ChannelFaults::new(n),
             trace: Trace::disabled(),
             model: EnergyModel::default(),
             workers: 1,
@@ -2020,58 +1920,9 @@ impl<A: Actor> TiledSim<A> {
         self.tiles[t].dormant[l] = true;
     }
 
-    /// Imposes a network partition.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `group_of` has one entry per node.
-    pub fn set_partition(&mut self, group_of: Vec<u32>) {
-        assert_eq!(
-            group_of.len(),
-            self.topology.len(),
-            "partition must assign a group to every node"
-        );
-        self.partition = Some(group_of);
-    }
-
-    /// Heals any partition.
-    pub fn clear_partition(&mut self) {
-        self.partition = None;
-    }
-
-    /// Adds `extra` delivery delay to the directed link `from → to`.
-    pub fn set_link_lag(&mut self, from: NodeId, to: NodeId, extra: SimDuration) {
-        match self
-            .link_lag
-            .binary_search_by_key(&(from, to), |&(f, t, _)| (f, t))
-        {
-            Ok(i) => self.link_lag[i].2 = extra,
-            Err(i) => self.link_lag.insert(i, (from, to, extra)),
-        }
-    }
-
-    /// Removes the lag on `from → to`, if any.
-    pub fn remove_link_lag(&mut self, from: NodeId, to: NodeId) {
-        if let Ok(i) = self
-            .link_lag
-            .binary_search_by_key(&(from, to), |&(f, t, _)| (f, t))
-        {
-            self.link_lag.remove(i);
-        }
-    }
-
-    /// Duplicates surviving copies with `probability`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0.0 <= probability <= 1.0`.
-    pub fn set_duplication(&mut self, probability: f64, lag: SimDuration) {
-        assert!(
-            (0.0..=1.0).contains(&probability),
-            "duplication probability must be in [0, 1]"
-        );
-        self.dup_probability = probability;
-        self.dup_lag = lag;
+    /// The channel faults (`Simulator::faults_mut` semantics).
+    pub fn faults_mut(&mut self) -> &mut ChannelFaults {
+        &mut self.faults
     }
 }
 
@@ -2100,12 +1951,9 @@ where
                 topology: &self.topology,
                 tile_of: &self.tile_of,
                 local_of: &self.local_of,
-                partition: &self.partition,
-                link_lag: &self.link_lag,
+                faults: &self.faults,
                 delay: self.delay,
                 jitter: self.jitter,
-                dup_probability: self.dup_probability,
-                dup_lag: self.dup_lag,
                 trace_enabled,
             };
             crate::par::par_for_each_mut(workers, &mut self.tiles, |_, tile| {
@@ -2280,12 +2128,9 @@ where
                     topology: &self.topology,
                     tile_of: &self.tile_of,
                     local_of: &self.local_of,
-                    partition: &self.partition,
-                    link_lag: &self.link_lag,
+                    faults: &self.faults,
                     delay: self.delay,
                     jitter: self.jitter,
-                    dup_probability: self.dup_probability,
-                    dup_lag: self.dup_lag,
                     trace_enabled: self.trace.is_enabled(),
                 };
                 let mut act = gather_mut(&mut self.tiles, &self.active);
@@ -2366,10 +2211,7 @@ where
         self.now.persist(&mut w);
         self.started.persist(&mut w);
         self.ext_seq.persist(&mut w);
-        self.partition.persist(&mut w);
-        self.link_lag.persist(&mut w);
-        self.dup_probability.persist(&mut w);
-        self.dup_lag.persist(&mut w);
+        self.faults.persist(&mut w);
         self.model.persist(&mut w);
         self.trace.persist(&mut w);
         for tile in &self.tiles {
@@ -2434,21 +2276,10 @@ where
         let now = SimTime::restore(&mut r)?;
         let started = bool::restore(&mut r)?;
         let ext_seq = u64::restore(&mut r)?;
-        let partition: Option<Vec<u32>> = Option::restore(&mut r)?;
-        let link_lag: Vec<(NodeId, NodeId, SimDuration)> = Vec::restore(&mut r)?;
-        let dup_probability = f64::restore(&mut r)?;
-        let dup_lag = SimDuration::restore(&mut r)?;
+        let n = topology.len();
+        let faults = ChannelFaults::restore(&mut r, n)?;
         let model = EnergyModel::restore(&mut r)?;
         let trace = Trace::restore(&mut r)?;
-        if !(0.0..=1.0).contains(&dup_probability) {
-            return Err(CheckpointError::Corrupt(
-                "duplication probability out of range",
-            ));
-        }
-        let n = topology.len();
-        if partition.as_ref().is_some_and(|g| g.len() != n) {
-            return Err(CheckpointError::Corrupt("population size mismatch"));
-        }
         // Tile membership is a pure function of (topology, grid): the
         // snapshot doesn't store it, it is recomputed and each tile
         // section validated against the recomputed population.
@@ -2556,10 +2387,7 @@ where
             now,
             started,
             ext_seq,
-            partition,
-            link_lag,
-            dup_probability,
-            dup_lag,
+            faults,
             trace,
             model,
             workers: 1,
@@ -2707,7 +2535,8 @@ mod tests {
             rx_cost: 0.1,
             harvest_per_sec: 2.0,
         });
-        sim.set_duplication(0.1, SimDuration::from_micros(150));
+        sim.faults_mut()
+            .set_duplication(0.1, SimDuration::from_micros(150));
         sim.schedule_crash(NodeId(2), SimTime::from_millis(4));
         sim.schedule_leave(NodeId(5), SimTime::from_millis(6));
         sim.schedule_rejoin(NodeId(2), SimTime::from_millis(9));
@@ -2741,7 +2570,8 @@ mod tests {
             rx_cost: 0.1,
             harvest_per_sec: 2.0,
         });
-        sim.set_duplication(0.1, SimDuration::from_micros(150));
+        sim.faults_mut()
+            .set_duplication(0.1, SimDuration::from_micros(150));
         sim.schedule_crash(NodeId(2), SimTime::from_millis(4));
         sim.schedule_leave(NodeId(5), SimTime::from_millis(6));
         sim.schedule_rejoin(NodeId(2), SimTime::from_millis(9));
@@ -2822,7 +2652,8 @@ mod tests {
                 rx_cost: 0.1,
                 harvest_per_sec: 2.0,
             });
-            sim.set_duplication(0.1, SimDuration::from_micros(150));
+            sim.faults_mut()
+                .set_duplication(0.1, SimDuration::from_micros(150));
             sim.schedule_crash(NodeId(2), SimTime::from_millis(4));
             sim.schedule_leave(NodeId(5), SimTime::from_millis(6));
             sim.schedule_rejoin(NodeId(2), SimTime::from_millis(9));
@@ -2844,7 +2675,8 @@ mod tests {
                 rx_cost: 0.1,
                 harvest_per_sec: 2.0,
             });
-            sim.set_duplication(0.1, SimDuration::from_micros(150));
+            sim.faults_mut()
+                .set_duplication(0.1, SimDuration::from_micros(150));
             sim.schedule_crash(NodeId(2), SimTime::from_millis(4));
             sim.schedule_leave(NodeId(5), SimTime::from_millis(6));
             sim.schedule_rejoin(NodeId(2), SimTime::from_millis(9));
@@ -2941,11 +2773,12 @@ mod tests {
                 }
             });
             sim.enable_trace();
-            sim.set_partition(groups.clone());
-            sim.set_link_lag(NodeId(0), NodeId(2), SimDuration::from_micros(700));
+            sim.faults_mut().set_partition(groups.clone());
+            sim.faults_mut()
+                .set_link_lag(NodeId(0), NodeId(2), SimDuration::from_micros(700));
             sim.run_until(SimTime::from_millis(4));
-            sim.clear_partition();
-            sim.remove_link_lag(NodeId(0), NodeId(2));
+            sim.faults_mut().clear_partition();
+            sim.faults_mut().remove_link_lag(NodeId(0), NodeId(2));
             sim.run_until(SimTime::from_millis(9));
             fingerprint_canonical(&sim)
         };
@@ -2962,11 +2795,12 @@ mod tests {
                 },
             );
             sim.enable_trace();
-            sim.set_partition(groups.clone());
-            sim.set_link_lag(NodeId(0), NodeId(2), SimDuration::from_micros(700));
+            sim.faults_mut().set_partition(groups.clone());
+            sim.faults_mut()
+                .set_link_lag(NodeId(0), NodeId(2), SimDuration::from_micros(700));
             sim.run_until(SimTime::from_millis(4));
-            sim.clear_partition();
-            sim.remove_link_lag(NodeId(0), NodeId(2));
+            sim.faults_mut().clear_partition();
+            sim.faults_mut().remove_link_lag(NodeId(0), NodeId(2));
             sim.run_until(SimTime::from_millis(9));
             fingerprint_tiled(&sim)
         };

@@ -213,7 +213,8 @@ fn tiled_fingerprint(
     sim.set_workers(workers);
     sim.enable_trace();
     if dup > 0.0 {
-        sim.set_duplication(dup, SimDuration::from_micros(137));
+        sim.faults_mut()
+            .set_duplication(dup, SimDuration::from_micros(137));
     }
     sim.run_until(horizon);
     (
