@@ -67,6 +67,11 @@ impl EnergyBook {
         &self.model
     }
 
+    /// The number of nodes on the ledger.
+    pub(crate) fn len(&self) -> usize {
+        self.remaining.len()
+    }
+
     /// Remaining charge of `node` (clamped at zero).
     ///
     /// # Panics

@@ -426,6 +426,15 @@ impl<M: Clone> EventQueue<M> {
 }
 
 impl<M> EventQueue<M> {
+    /// Every pending event, in no particular order (what a restore
+    /// checks against the rest of the snapshot).
+    pub(crate) fn kinds(&self) -> impl Iterator<Item = &EventKind<M>> {
+        self.pool
+            .iter()
+            .filter_map(|e| e.kind.as_ref())
+            .chain(self.overflow.iter().map(|s| &s.kind))
+    }
+
     /// Rebuilds a queue from a [`EventQueue::snapshot_entries`] dump.
     ///
     /// `base` anchors the calendar ring (the snapshotting run's ring

@@ -57,6 +57,7 @@ pub mod event;
 pub mod faults;
 pub mod geometry;
 pub mod id;
+mod lifecycle;
 pub mod loss;
 pub mod metrics;
 pub mod mobility;

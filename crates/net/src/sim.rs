@@ -12,6 +12,9 @@
 //! stale replays — live in the engine's [`ChannelFaults`], reached
 //! through [`Simulator::faults_mut`]; the transmit loop asks it per
 //! copy in the draw order that type documents.
+//!
+//! Crash, leave, join and rejoin, and the timers, are kept and ruled by
+//! the engine's `lifecycle::NodeTable` (DESIGN.md §13).
 
 use crate::actor::{Actor, Command, Ctx, TimerToken};
 use crate::checkpoint::{self, CheckpointError, Persist, Reader, Writer};
@@ -19,6 +22,7 @@ use crate::energy::{EnergyBook, EnergyModel};
 use crate::event::{EventKind, EventQueue};
 use crate::faults::ChannelFaults;
 use crate::id::NodeId;
+use crate::lifecycle::{self, Callback, Engine, Life, NodeTable};
 use crate::loss::LossSnapshot;
 use crate::metrics::SimMetrics;
 use crate::radio::RadioConfig;
@@ -177,6 +181,30 @@ impl<M> PayloadArena<M> {
             self.free.push(id.0);
         }
     }
+
+    /// Restore check against the queue that holds this arena's
+    /// deliveries: each live slot's reference count equals the queued
+    /// `Deliver`s naming it, and none names an empty or missing slot —
+    /// else a delivery would read a freed payload.
+    pub(crate) fn check_refs<'a>(
+        &self,
+        events: impl Iterator<Item = &'a EventKind<PayloadId>>,
+    ) -> Result<(), CheckpointError> {
+        let mismatch =
+            CheckpointError::Corrupt("queued deliveries disagree with the payload arena");
+        let mut refs = vec![0u32; self.slots.len()];
+        for event in events {
+            if let EventKind::Deliver { msg, .. } = event {
+                *refs.get_mut(msg.0 as usize).ok_or(mismatch.clone())? += 1;
+            }
+        }
+        let agree = self
+            .slots
+            .iter()
+            .zip(&refs)
+            .all(|((held, msg), &queued)| queued == if msg.is_some() { *held } else { 0 });
+        agree.then_some(()).ok_or(mismatch)
+    }
 }
 
 impl<M: Persist> Persist for PayloadArena<M> {
@@ -188,64 +216,20 @@ impl<M: Persist> Persist for PayloadArena<M> {
         self.free.persist(w);
     }
     fn restore(r: &mut Reader<'_>) -> Result<Self, CheckpointError> {
-        Ok(PayloadArena {
-            slots: Vec::restore(r)?,
-            free: Vec::restore(r)?,
-        })
-    }
-}
-
-/// Generation-stamped timer slab: each pending timer owns a slot, the
-/// queued event carries `(slot, generation)` packed into the event's
-/// `id`, cancellation bumps the generation in O(1), and a stale firing
-/// is rejected by a single compare — no tombstone set to grow without
-/// bound on cancel-heavy runs.
-#[derive(Debug, Default)]
-pub(crate) struct TimerSlab {
-    generations: Vec<u32>,
-    free: Vec<u32>,
-}
-
-impl TimerSlab {
-    /// Claims a slot, returning the packed `(slot, generation)` stamp.
-    pub(crate) fn alloc(&mut self) -> u64 {
-        let slot = self.free.pop().unwrap_or_else(|| {
-            self.generations.push(0);
-            (self.generations.len() - 1) as u32
-        });
-        pack_timer(slot, self.generations[slot as usize])
-    }
-
-    /// Invalidates `slot` (cancellation) and recycles it. The stale
-    /// event still in the queue is rejected by its generation on pop;
-    /// generations wrap at 2^32 reuses of one slot, far beyond any
-    /// run's cancel count.
-    pub(crate) fn invalidate(&mut self, slot: u32) {
-        self.generations[slot as usize] = self.generations[slot as usize].wrapping_add(1);
-        self.free.push(slot);
-    }
-
-    /// Consumes a firing: true iff `stamp` is current for its slot, in
-    /// which case the slot is invalidated (the event is spent) and
-    /// recycled.
-    pub(crate) fn try_fire(&mut self, stamp: u64) -> bool {
-        let (slot, generation) = unpack_timer(stamp);
-        if self.generations[slot as usize] != generation {
-            return false;
+        let slots: Vec<(u32, Option<M>)> = Vec::restore(r)?;
+        let free: Vec<u32> = Vec::restore(r)?;
+        // `insert` trusts the free list: it must name every empty slot
+        // exactly once and nothing else.
+        let mut listed = free.clone();
+        listed.sort_unstable();
+        if !listed
+            .into_iter()
+            .eq((0..slots.len() as u32).filter(|&i| slots[i as usize].1.is_none()))
+        {
+            return Err(CheckpointError::Corrupt("payload free list"));
         }
-        self.invalidate(slot);
-        true
+        Ok(PayloadArena { slots, free })
     }
-}
-
-crate::impl_persist!(TimerSlab { generations, free });
-
-pub(crate) fn pack_timer(slot: u32, generation: u32) -> u64 {
-    (u64::from(slot) << 32) | u64::from(generation)
-}
-
-pub(crate) fn unpack_timer(stamp: u64) -> (u32, u32) {
-    ((stamp >> 32) as u32, stamp as u32)
 }
 
 /// A complete simulation of one wireless network.
@@ -283,14 +267,8 @@ pub struct Simulator<A: Actor> {
     topology: Topology,
     radio: RadioConfig,
     actors: Vec<A>,
-    alive: Vec<bool>,
-    /// Nodes that withdrew gracefully (distinct from crashes so that
-    /// observers — the chaos monitor in particular — can tell a
-    /// voluntary leaver from a failure).
-    departed: Vec<bool>,
-    /// Nodes configured as late arrivals: not yet part of the run,
-    /// activated by a `Join` event (never started, never crashed).
-    dormant: Vec<bool>,
+    /// Lifecycle state and pending timers of every node.
+    life: NodeTable,
     queue: EventQueue<PayloadId>,
     /// Broadcast payloads, stored once per transmission.
     payloads: PayloadArena<A::Msg>,
@@ -299,12 +277,6 @@ pub struct Simulator<A: Actor> {
     metrics: SimMetrics,
     energy: EnergyBook,
     trace: Trace,
-    /// Generation stamps validating timer firings.
-    timers: TimerSlab,
-    /// Per node: `(token, slot)` of every pending timer, so that
-    /// cancel-by-token finds its slots (lists stay tiny — a handful of
-    /// pending timers per node).
-    node_timers: Vec<Vec<(u64, u32)>>,
     started: bool,
     /// Last instant solar harvesting was credited.
     last_harvest: SimTime,
@@ -332,9 +304,7 @@ impl<A: Actor> Simulator<A> {
         let actors = topology.node_ids().map(&mut make_actor).collect();
         Simulator {
             actors,
-            alive: vec![true; n],
-            departed: vec![false; n],
-            dormant: vec![false; n],
+            life: NodeTable::new(n),
             queue: EventQueue::new(),
             payloads: PayloadArena::new(),
             now: SimTime::ZERO,
@@ -342,8 +312,6 @@ impl<A: Actor> Simulator<A> {
             metrics: SimMetrics::new(n),
             energy: EnergyBook::new(n, EnergyModel::default()),
             trace: Trace::disabled(),
-            timers: TimerSlab::default(),
-            node_timers: vec![Vec::new(); n],
             started: false,
             last_harvest: SimTime::ZERO,
             faults: ChannelFaults::new(n),
@@ -434,13 +402,13 @@ impl<A: Actor> Simulator<A> {
     /// Whether `node` is still operational.
     #[inline]
     pub fn is_alive(&self, node: NodeId) -> bool {
-        self.alive[node.index()]
+        self.life.is_alive(node.index())
     }
 
     /// Iterates over the node IDs that are still operational, without
     /// allocating.
     pub fn alive_nodes_iter(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.topology.node_ids().filter(|n| self.alive[n.index()])
+        self.life.in_state(Life::Alive)
     }
 
     /// Node IDs that are still operational, collected into a fresh
@@ -456,16 +424,12 @@ impl<A: Actor> Simulator<A> {
     /// chaos fuzzer's randomized plans) can never abort the process;
     /// the effective crash instant is returned.
     pub fn schedule_crash(&mut self, node: NodeId, at: SimTime) -> SimTime {
-        let at = at.max(self.now);
-        if node.index() < self.topology.len() {
-            self.queue.schedule(at, EventKind::Crash { node });
-        }
-        at
+        self.schedule_external(node, at, EventKind::Crash { node })
     }
 
-    /// Crashes `node` immediately.
+    /// Crashes `node` immediately (unknown nodes are ignored).
     pub fn crash_now(&mut self, node: NodeId) {
-        self.apply_crash(node);
+        lifecycle::apply(self, EventKind::Crash { node });
     }
 
     // --------------------------------------------- lifecycle (churn)
@@ -477,11 +441,7 @@ impl<A: Actor> Simulator<A> {
     /// already crashed — it is a no-op, never a panic, so
     /// machine-generated churn plans cannot abort the process.
     pub fn set_dormant(&mut self, node: NodeId) {
-        if self.started || node.index() >= self.topology.len() || !self.alive[node.index()] {
-            return;
-        }
-        self.alive[node.index()] = false;
-        self.dormant[node.index()] = true;
+        self.life.set_dormant(node.index(), self.started);
     }
 
     /// Schedules the activation of the dormant node `node` at `at`
@@ -491,11 +451,7 @@ impl<A: Actor> Simulator<A> {
     /// dormant (already present, crashed, or departed) dissolve into
     /// silent no-ops at dispatch time. Returns the effective instant.
     pub fn schedule_join(&mut self, node: NodeId, at: SimTime) -> SimTime {
-        let at = at.max(self.now);
-        if node.index() < self.topology.len() {
-            self.queue.schedule(at, EventKind::Join { node });
-        }
-        at
+        self.schedule_external(node, at, EventKind::Join { node })
     }
 
     /// Schedules a graceful withdrawal of `node` at `at`: its
@@ -506,11 +462,7 @@ impl<A: Actor> Simulator<A> {
     /// nodes are no-ops; past timestamps saturate to `now()`. Returns
     /// the effective instant.
     pub fn schedule_leave(&mut self, node: NodeId, at: SimTime) -> SimTime {
-        let at = at.max(self.now);
-        if node.index() < self.topology.len() {
-            self.queue.schedule(at, EventKind::Leave { node });
-        }
-        at
+        self.schedule_external(node, at, EventKind::Leave { node })
     }
 
     /// Schedules the return of a crashed or departed node at `at`: all
@@ -522,9 +474,20 @@ impl<A: Actor> Simulator<A> {
     /// or dormant nodes are no-ops; past timestamps saturate to
     /// `now()`. Returns the effective instant.
     pub fn schedule_rejoin(&mut self, node: NodeId, at: SimTime) -> SimTime {
+        self.schedule_external(node, at, EventKind::Rejoin { node })
+    }
+
+    /// Clamps `at` to `now()` and queues `kind` for a known `node`;
+    /// unknown nodes are ignored. Returns the effective instant.
+    fn schedule_external(
+        &mut self,
+        node: NodeId,
+        at: SimTime,
+        kind: EventKind<PayloadId>,
+    ) -> SimTime {
         let at = at.max(self.now);
         if node.index() < self.topology.len() {
-            self.queue.schedule(at, EventKind::Rejoin { node });
+            self.queue.schedule(at, kind);
         }
         at
     }
@@ -532,32 +495,24 @@ impl<A: Actor> Simulator<A> {
     /// Whether `node` withdrew gracefully (as opposed to crashing).
     #[inline]
     pub fn has_departed(&self, node: NodeId) -> bool {
-        self.departed[node.index()]
+        self.life.state(node.index()) == Life::Departed
     }
 
     /// Whether `node` is a late arrival that has not joined yet.
     #[inline]
     pub fn is_dormant(&self, node: NodeId) -> bool {
-        self.dormant[node.index()]
+        self.life.state(node.index()) == Life::Dormant
     }
 
     /// Nodes that withdrew gracefully and have not rejoined.
     pub fn departed_nodes(&self) -> Vec<NodeId> {
-        self.topology
-            .node_ids()
-            .filter(|n| self.departed[n.index()])
-            .collect()
+        self.life.in_state(Life::Departed).collect()
     }
 
     /// Nodes that are down involuntarily: not alive, not a voluntary
     /// leaver, not an unactivated late arrival.
     pub fn crashed_nodes(&self) -> Vec<NodeId> {
-        self.topology
-            .node_ids()
-            .filter(|n| {
-                !self.alive[n.index()] && !self.departed[n.index()] && !self.dormant[n.index()]
-            })
-            .collect()
+        self.life.in_state(Life::Crashed).collect()
     }
 
     // ------------------------------------------- chaos interposer API
@@ -611,10 +566,10 @@ impl<A: Actor> Simulator<A> {
     /// callbacks on first use). Returns false if the queue was empty.
     pub fn step_one(&mut self) -> bool {
         self.ensure_started();
-        if self.queue.is_empty() {
+        let Some((at, kind)) = self.queue.pop() else {
             return false;
-        }
-        self.step();
+        };
+        self.dispatch(at, kind);
         true
     }
 
@@ -624,24 +579,10 @@ impl<A: Actor> Simulator<A> {
         }
         self.started = true;
         for i in 0..self.actors.len() {
-            let node = NodeId(i as u32);
-            if !self.alive[i] {
-                continue;
+            if self.life.is_alive(i) {
+                self.call(i, NodeId(i as u32), Callback::Start);
             }
-            let mut ctx =
-                Ctx::new(self.now, node, &mut self.rng).with_energy(self.energy.remaining(node));
-            ctx.commands = std::mem::take(&mut self.scratch_commands);
-            self.actors[i].on_start(&mut ctx);
-            let commands = ctx.commands;
-            self.apply_commands(node, commands);
         }
-    }
-
-    fn step(&mut self) {
-        let Some((at, kind)) = self.queue.pop() else {
-            return;
-        };
-        self.dispatch(at, kind);
     }
 
     fn dispatch(&mut self, at: SimTime, kind: EventKind<PayloadId>) -> Option<SimEvent> {
@@ -654,188 +595,7 @@ impl<A: Actor> Simulator<A> {
             self.energy.harvest(elapsed);
             self.last_harvest = self.now;
         }
-        match kind {
-            EventKind::Deliver { to, from, msg } => self
-                .apply_delivery(to, from, msg)
-                .then_some(SimEvent::Deliver { to, from }),
-            EventKind::Timer { node, token, id } => {
-                self.apply_timer(node, token, id)
-                    .then_some(SimEvent::Timer {
-                        node,
-                        token: TimerToken(token),
-                    })
-            }
-            EventKind::Crash { node } => self.apply_crash(node).then_some(SimEvent::Crash { node }),
-            EventKind::Join { node } => self.apply_join(node).then_some(SimEvent::Join { node }),
-            EventKind::Leave { node } => self.apply_leave(node).then_some(SimEvent::Leave { node }),
-            EventKind::Rejoin { node } => {
-                self.apply_rejoin(node).then_some(SimEvent::Rejoin { node })
-            }
-        }
-    }
-
-    /// Returns true iff the copy reached a live actor.
-    fn apply_delivery(&mut self, to: NodeId, from: NodeId, payload: PayloadId) -> bool {
-        if !self.alive[to.index()] {
-            self.metrics.record_dropped_dead();
-            self.payloads.release(payload);
-            return false;
-        }
-        self.metrics.record_delivery();
-        self.energy.charge_rx(to);
-        if self.trace.is_enabled() {
-            self.trace.push(TraceRecord {
-                at: self.now,
-                node: to,
-                peer: from,
-                kind: TraceKind::Receive,
-            });
-        }
-        let mut ctx = Ctx::new(self.now, to, &mut self.rng).with_energy(self.energy.remaining(to));
-        ctx.commands = std::mem::take(&mut self.scratch_commands);
-        self.actors[to.index()].on_message(&mut ctx, from, self.payloads.get(payload));
-        let commands = ctx.commands;
-        self.payloads.release(payload);
-        self.apply_commands(to, commands);
-        true
-    }
-
-    /// Returns true iff a current-generation timer fired on a live
-    /// node.
-    fn apply_timer(&mut self, node: NodeId, token: u64, stamp: u64) -> bool {
-        if !self.timers.try_fire(stamp) {
-            return false; // cancelled: a newer generation owns the slot
-        }
-        // Retire the pending entry (the event is spent either way).
-        let (slot, _) = unpack_timer(stamp);
-        let pending = &mut self.node_timers[node.index()];
-        if let Some(at) = pending.iter().position(|&(_, s)| s == slot) {
-            pending.swap_remove(at);
-        }
-        if !self.alive[node.index()] {
-            return false;
-        }
-        self.metrics.record_timer();
-        if self.trace.is_enabled() {
-            self.trace.push(TraceRecord {
-                at: self.now,
-                node,
-                peer: node,
-                kind: TraceKind::Timer,
-            });
-        }
-        let mut ctx =
-            Ctx::new(self.now, node, &mut self.rng).with_energy(self.energy.remaining(node));
-        ctx.commands = std::mem::take(&mut self.scratch_commands);
-        self.actors[node.index()].on_timer(&mut ctx, TimerToken(token));
-        let commands = ctx.commands;
-        self.apply_commands(node, commands);
-        true
-    }
-
-    /// Returns true iff `node` transitioned from operational to dead.
-    fn apply_crash(&mut self, node: NodeId) -> bool {
-        if !self.alive[node.index()] {
-            return false;
-        }
-        self.alive[node.index()] = false;
-        if self.trace.is_enabled() {
-            self.trace.push(TraceRecord {
-                at: self.now,
-                node,
-                peer: node,
-                kind: TraceKind::Crash,
-            });
-        }
-        true
-    }
-
-    /// Returns true iff the dormant node `node` was activated.
-    fn apply_join(&mut self, node: NodeId) -> bool {
-        if !self.dormant[node.index()] {
-            return false;
-        }
-        self.dormant[node.index()] = false;
-        self.alive[node.index()] = true;
-        if self.trace.is_enabled() {
-            self.trace.push(TraceRecord {
-                at: self.now,
-                node,
-                peer: node,
-                kind: TraceKind::Join,
-            });
-        }
-        let mut ctx =
-            Ctx::new(self.now, node, &mut self.rng).with_energy(self.energy.remaining(node));
-        ctx.commands = std::mem::take(&mut self.scratch_commands);
-        self.actors[node.index()].on_start(&mut ctx);
-        let commands = ctx.commands;
-        self.apply_commands(node, commands);
-        true
-    }
-
-    /// Returns true iff `node` withdrew (it was operational).
-    fn apply_leave(&mut self, node: NodeId) -> bool {
-        if !self.alive[node.index()] {
-            return false;
-        }
-        // The departure announcement (whatever `on_leave` broadcasts)
-        // is transmitted while the node is still operational.
-        let mut ctx =
-            Ctx::new(self.now, node, &mut self.rng).with_energy(self.energy.remaining(node));
-        ctx.commands = std::mem::take(&mut self.scratch_commands);
-        self.actors[node.index()].on_leave(&mut ctx);
-        let commands = ctx.commands;
-        self.apply_commands(node, commands);
-        self.alive[node.index()] = false;
-        self.departed[node.index()] = true;
-        self.invalidate_node_timers(node);
-        if self.trace.is_enabled() {
-            self.trace.push(TraceRecord {
-                at: self.now,
-                node,
-                peer: node,
-                kind: TraceKind::Leave,
-            });
-        }
-        true
-    }
-
-    /// Returns true iff the crashed or departed node `node` came back.
-    fn apply_rejoin(&mut self, node: NodeId) -> bool {
-        if self.alive[node.index()] || self.dormant[node.index()] {
-            return false;
-        }
-        // Crashes leave timers pending (the dead node simply never
-        // fires them); a returning node must not inherit them.
-        self.invalidate_node_timers(node);
-        self.alive[node.index()] = true;
-        self.departed[node.index()] = false;
-        if self.trace.is_enabled() {
-            self.trace.push(TraceRecord {
-                at: self.now,
-                node,
-                peer: node,
-                kind: TraceKind::Rejoin,
-            });
-        }
-        let mut ctx =
-            Ctx::new(self.now, node, &mut self.rng).with_energy(self.energy.remaining(node));
-        ctx.commands = std::mem::take(&mut self.scratch_commands);
-        self.actors[node.index()].on_rejoin(&mut ctx);
-        let commands = ctx.commands;
-        self.apply_commands(node, commands);
-        true
-    }
-
-    /// Invalidates and forgets every pending timer of `node`. The
-    /// queued events stay in the calendar queue but their generation
-    /// stamps are stale, so they dissolve on pop.
-    fn invalidate_node_timers(&mut self, node: NodeId) {
-        for &(_, slot) in &self.node_timers[node.index()] {
-            self.timers.invalidate(slot);
-        }
-        self.node_timers[node.index()].clear();
+        lifecycle::apply(self, kind)
     }
 
     fn apply_commands(&mut self, node: NodeId, mut commands: Vec<Command<A::Msg>>) {
@@ -843,29 +603,10 @@ impl<A: Actor> Simulator<A> {
             match command {
                 Command::Broadcast(msg) => self.transmit(node, msg),
                 Command::SetTimer { fire_at, token } => {
-                    let stamp = self.timers.alloc();
-                    let (slot, _) = unpack_timer(stamp);
-                    self.node_timers[node.index()].push((token.0, slot));
-                    self.queue.schedule(
-                        fire_at,
-                        EventKind::Timer {
-                            node,
-                            token: token.0,
-                            id: stamp,
-                        },
-                    );
+                    let timer = self.life.set_timer(node.index(), node, token);
+                    self.queue.schedule(fire_at, timer);
                 }
-                Command::CancelTimer { token } => {
-                    let timers = &mut self.timers;
-                    self.node_timers[node.index()].retain(|&(t, slot)| {
-                        if t == token.0 {
-                            timers.invalidate(slot);
-                            false
-                        } else {
-                            true
-                        }
-                    });
-                }
+                Command::CancelTimer { token } => self.life.cancel_timer(node.index(), token),
             }
         }
         // Hand the (now empty) allocation back for the next event.
@@ -881,14 +622,7 @@ impl<A: Actor> Simulator<A> {
         neighbors.extend_from_slice(self.topology.neighbors(from));
         self.metrics.record_transmission(from, neighbors.len());
         self.energy.charge_tx(from);
-        if self.trace.is_enabled() {
-            self.trace.push(TraceRecord {
-                at: self.now,
-                node: from,
-                peer: from,
-                kind: TraceKind::Transmit,
-            });
-        }
+        self.record(TraceKind::Transmit, from, from);
         let from_pos = self.topology.position(from);
         let lags = self.faults.lag_run(from);
         // The payload is stored once; every scheduled copy carries a
@@ -904,14 +638,13 @@ impl<A: Actor> Simulator<A> {
                     .is_lost(from, to, from_pos, to_pos, &mut self.rng);
             if lost {
                 self.metrics.record_loss();
-                if self.trace.is_enabled() {
-                    self.trace.push(TraceRecord {
-                        at: self.now,
-                        node: to,
-                        peer: from,
-                        kind: TraceKind::Loss,
-                    });
-                }
+                // Not `record`: `lags` still borrows the fault table.
+                self.trace.push(TraceRecord {
+                    at: self.now,
+                    node: to,
+                    peer: from,
+                    kind: TraceKind::Loss,
+                });
                 continue;
             }
             let delay = self.radio.draw_delay(&mut self.rng) + lags.extra(to);
@@ -940,6 +673,63 @@ impl<A: Actor> Simulator<A> {
         // Zero surviving copies drop the payload immediately.
         self.payloads.set_refs(payload, refs);
         self.scratch_neighbors = neighbors;
+    }
+}
+
+impl<A: Actor> Engine for Simulator<A> {
+    type Msg = PayloadId;
+
+    fn index(&self, node: NodeId) -> usize {
+        node.index()
+    }
+
+    fn table(&mut self) -> &mut NodeTable {
+        &mut self.life
+    }
+
+    fn drop_dead(&mut self, msg: PayloadId) {
+        self.metrics.record_dropped_dead();
+        self.payloads.release(msg);
+    }
+
+    fn receive(&mut self, _: usize, node: NodeId) {
+        self.metrics.record_delivery();
+        self.energy.charge_rx(node);
+    }
+
+    fn count_timer(&mut self) {
+        self.metrics.record_timer();
+    }
+
+    fn record(&mut self, kind: TraceKind, node: NodeId, peer: NodeId) {
+        self.trace.push(TraceRecord {
+            at: self.now,
+            node,
+            peer,
+            kind,
+        });
+    }
+
+    /// A delivered payload is released between the callback and its
+    /// commands, before any of them can transmit: the arena's free-list
+    /// order is observable in checkpoints.
+    fn call(&mut self, i: usize, node: NodeId, callback: Callback<PayloadId>) {
+        let mut ctx =
+            Ctx::new(self.now, node, &mut self.rng).with_energy(self.energy.remaining(node));
+        ctx.commands = std::mem::take(&mut self.scratch_commands);
+        let actor = &mut self.actors[i];
+        match callback {
+            Callback::Start => actor.on_start(&mut ctx),
+            Callback::Message { from, msg } => {
+                actor.on_message(&mut ctx, from, self.payloads.get(msg));
+                self.payloads.release(msg);
+            }
+            Callback::Timer(token) => actor.on_timer(&mut ctx, token),
+            Callback::Leave => actor.on_leave(&mut ctx),
+            Callback::Rejoin => actor.on_rejoin(&mut ctx),
+        }
+        let commands = ctx.commands;
+        self.apply_commands(node, commands);
     }
 }
 
@@ -973,9 +763,7 @@ where
         self.radio.delay().persist(&mut w);
         self.radio.jitter().persist(&mut w);
         self.actors.persist(&mut w);
-        self.alive.persist(&mut w);
-        self.departed.persist(&mut w);
-        self.dormant.persist(&mut w);
+        self.life.persist_liveness(&mut w);
         self.queue.persist(&mut w);
         self.payloads.persist(&mut w);
         self.now.persist(&mut w);
@@ -983,8 +771,7 @@ where
         self.metrics.persist(&mut w);
         self.energy.persist(&mut w);
         self.trace.persist(&mut w);
-        self.timers.persist(&mut w);
-        self.node_timers.persist(&mut w);
+        self.life.persist_timers(&mut w);
         self.started.persist(&mut w);
         self.last_harvest.persist(&mut w);
         self.faults.persist(&mut w);
@@ -1002,6 +789,7 @@ where
         let mut r = Reader::new(bytes);
         checkpoint::read_header(&mut r)?;
         let topology = Topology::restore(&mut r)?;
+        let n = topology.len();
         let loss = LossSnapshot::restore(&mut r)?;
         let delay = SimDuration::restore(&mut r)?;
         let jitter = SimDuration::restore(&mut r)?;
@@ -1009,9 +797,7 @@ where
             .with_delay(delay)
             .with_jitter(jitter);
         let actors: Vec<A> = Vec::restore(&mut r)?;
-        let alive: Vec<bool> = Vec::restore(&mut r)?;
-        let departed: Vec<bool> = Vec::restore(&mut r)?;
-        let dormant: Vec<bool> = Vec::restore(&mut r)?;
+        let mut life = NodeTable::restore_liveness(&mut r, n)?;
         let queue = EventQueue::restore(&mut r)?;
         let payloads = PayloadArena::restore(&mut r)?;
         let now = SimTime::restore(&mut r)?;
@@ -1019,30 +805,28 @@ where
         let metrics = SimMetrics::restore(&mut r)?;
         let energy = EnergyBook::restore(&mut r)?;
         let trace = Trace::restore(&mut r)?;
-        let timers = TimerSlab::restore(&mut r)?;
-        let node_timers: Vec<Vec<(u64, u32)>> = Vec::restore(&mut r)?;
+        life.restore_timers(&mut r)?;
         let started = bool::restore(&mut r)?;
         let last_harvest = SimTime::restore(&mut r)?;
-        let n = topology.len();
         let faults = ChannelFaults::restore(&mut r, n)?;
         if r.remaining() != 0 {
             return Err(CheckpointError::Corrupt("trailing bytes"));
         }
-        if actors.len() != n
-            || alive.len() != n
-            || departed.len() != n
-            || dormant.len() != n
-            || node_timers.len() != n
-        {
+        if actors.len() != n || metrics.tx_per_node.len() != n || energy.len() != n {
             return Err(CheckpointError::Corrupt("population size mismatch"));
         }
+        if queue.peek_time().is_some_and(|at| at < now) {
+            return Err(CheckpointError::Corrupt("queued event before the clock"));
+        }
+        for kind in queue.kinds() {
+            life.check_event(kind, n, |node| node.index() < n)?;
+        }
+        payloads.check_refs(queue.kinds())?;
         Ok(Simulator {
             topology,
             radio,
             actors,
-            alive,
-            departed,
-            dormant,
+            life,
             queue,
             payloads,
             now,
@@ -1050,8 +834,6 @@ where
             metrics,
             energy,
             trace,
-            timers,
-            node_timers,
             started,
             last_harvest,
             faults,
@@ -1385,49 +1167,6 @@ mod tests {
             "storm must drop the second ping"
         );
         assert_eq!(sim.metrics().losses, 1);
-    }
-
-    #[test]
-    fn timer_slab_stamps_are_spent_on_fire() {
-        let mut slab = TimerSlab::default();
-        let stamp = slab.alloc();
-        assert!(slab.try_fire(stamp), "fresh stamp fires");
-        assert!(!slab.try_fire(stamp), "a stamp can only be spent once");
-    }
-
-    #[test]
-    fn timer_slab_invalidate_rejects_the_stale_stamp() {
-        let mut slab = TimerSlab::default();
-        let stamp = slab.alloc();
-        let (slot, generation) = unpack_timer(stamp);
-        slab.invalidate(slot);
-        assert!(!slab.try_fire(stamp), "cancelled stamp must not fire");
-        // The slot is recycled with a bumped generation: the new stamp
-        // fires, the old one stays dead.
-        let reused = slab.alloc();
-        let (slot2, generation2) = unpack_timer(reused);
-        assert_eq!(slot, slot2, "freelist reuses the slot");
-        assert_ne!(generation, generation2, "reuse bumps the generation");
-        assert!(!slab.try_fire(stamp));
-        assert!(slab.try_fire(reused));
-    }
-
-    #[test]
-    fn timer_slab_stays_bounded_under_cancel_churn() {
-        // The old engine grew its `cancelled` tombstone set by one
-        // entry per cancel, forever. The slab must recycle instead.
-        let mut slab = TimerSlab::default();
-        for _ in 0..10_000 {
-            let stamp = slab.alloc();
-            let (slot, _) = unpack_timer(stamp);
-            slab.invalidate(slot);
-        }
-        assert_eq!(slab.generations.len(), 1, "one slot, recycled 10k times");
-        let survivor = slab.alloc();
-        assert!(
-            slab.try_fire(survivor),
-            "generation wrap-around is harmless"
-        );
     }
 
     #[test]
@@ -1938,5 +1677,112 @@ mod tests {
             TiledSim::<Chatter>::restore(&corrupt(bytes)).unwrap_err(),
             CheckpointError::Corrupt("link lag table out of order")
         );
+    }
+
+    /// A two-node world just after start: node 0's ping to the dormant
+    /// node 1 is in flight (payload 0 live, one delivery queued) and
+    /// node 0 holds one timer.
+    fn snapshot_world() -> Simulator<Chatter> {
+        let mut sim = Simulator::new(pair_topology(), RadioConfig::lossless(), 1, |_| Chatter {
+            pings: 1,
+            ..Chatter::default()
+        });
+        sim.set_dormant(NodeId(1));
+        sim.run_until(SimTime::from_micros(1));
+        sim.life.set_timer::<PayloadId>(0, NodeId(0), TimerToken(1));
+        assert!(Simulator::<Chatter>::restore(&sim.checkpoint().unwrap()).is_ok());
+        sim
+    }
+
+    fn refusal(bytes: &[u8]) -> CheckpointError {
+        Simulator::<Chatter>::restore(bytes).map(drop).unwrap_err()
+    }
+
+    #[test]
+    fn restore_rejects_queued_events_it_cannot_run() {
+        use CheckpointError::Corrupt;
+        let deliver = |to, from, msg| EventKind::Deliver {
+            to: NodeId(to),
+            from: NodeId(from),
+            msg: PayloadId(msg),
+        };
+        let cases = [
+            (
+                EventKind::Crash { node: NodeId(99) },
+                Corrupt("queued event its holder cannot run"),
+            ),
+            (
+                deliver(0, 99, 0),
+                Corrupt("queued event its holder cannot run"),
+            ),
+            (
+                EventKind::Timer {
+                    node: NodeId(0),
+                    token: 1,
+                    id: 99 << 32,
+                },
+                Corrupt("queued event its holder cannot run"),
+            ),
+            (
+                deliver(0, 1, 99),
+                Corrupt("queued deliveries disagree with the payload arena"),
+            ),
+            (
+                deliver(0, 1, 0),
+                Corrupt("queued deliveries disagree with the payload arena"),
+            ),
+        ];
+        for (event, refused) in cases {
+            let mut sim = snapshot_world();
+            sim.queue.schedule(SimTime::from_millis(5), event);
+            assert_eq!(refusal(&sim.checkpoint().unwrap()), refused);
+        }
+        // A runnable event, but dated before the snapshot's clock.
+        let mut sim = snapshot_world();
+        sim.queue
+            .schedule(SimTime::ZERO, EventKind::Crash { node: NodeId(0) });
+        assert_eq!(
+            refusal(&sim.checkpoint().unwrap()),
+            Corrupt("queued event before the clock")
+        );
+    }
+
+    #[test]
+    fn restore_rejects_per_node_ledgers_of_the_wrong_length() {
+        let mut sim = snapshot_world();
+        sim.metrics.tx_per_node.pop();
+        let short_metrics = sim.checkpoint().unwrap();
+        let mut sim = snapshot_world();
+        sim.energy = EnergyBook::new(3, EnergyModel::default());
+        let long_energy = sim.checkpoint().unwrap();
+        for bytes in [short_metrics, long_energy] {
+            assert_eq!(
+                refusal(&bytes),
+                CheckpointError::Corrupt("population size mismatch")
+            );
+        }
+    }
+
+    #[test]
+    fn restore_rejects_inconsistent_lifecycle_and_timers() {
+        use crate::lifecycle::crafted;
+        let sim = snapshot_world();
+        let bytes = sim.checkpoint().unwrap();
+        let both = crafted::splice(
+            &bytes,
+            &crafted::liveness(&sim.life),
+            &crafted::alive_and_dormant(2),
+        );
+        assert_eq!(
+            refusal(&both),
+            CheckpointError::Corrupt("node in no lifecycle state")
+        );
+        let timers = crafted::timers(&sim.life);
+        for (section, refused) in crafted::bad_timers(2) {
+            assert_eq!(
+                refusal(&crafted::splice(&bytes, &timers, &section)),
+                refused
+            );
+        }
     }
 }

@@ -43,19 +43,22 @@
 //! read the engine's copy through the borrowed `Shared` window view.
 //! Each engine's transmit loop asks it per copy in the same draw order
 //! (blocked, loss, delay, lag, duplication), from the sender's stream.
+//! Node lifecycle and timers live in one `lifecycle::NodeTable` per
+//! engine — per tile in [`TiledSim`] — as in the legacy engine.
 
-use crate::actor::{Actor, Command, Ctx, TimerToken};
+use crate::actor::{Actor, Command, Ctx};
 use crate::checkpoint::{self, CheckpointError, Persist, Reader, Writer};
 use crate::energy::EnergyModel;
 use crate::event::EventKind;
 use crate::faults::ChannelFaults;
 use crate::geometry::Point;
 use crate::id::NodeId;
+use crate::lifecycle::{self, Callback, Engine, Life, NodeTable};
 use crate::loss::{LossModel, LossSnapshot};
 use crate::metrics::SimMetrics;
 use crate::radio::{draw_delay, RadioConfig};
 use crate::rng::derive_seed;
-use crate::sim::{unpack_timer, PayloadArena, PayloadId, TimerSlab};
+use crate::sim::{PayloadArena, PayloadId};
 use crate::time::{SimDuration, SimTime};
 use crate::topology::Topology;
 use crate::trace::{Trace, TraceKind, TraceRecord};
@@ -90,6 +93,18 @@ pub struct EventPrio {
 }
 
 crate::impl_persist!(EventPrio { birth, node, seq });
+
+/// The priority of an event `node` (or [`EXTERNAL_NODE`]) schedules at
+/// `now`, advancing that creator's sequence counter `seq`.
+fn next_prio(now: SimTime, node: u32, seq: &mut u64) -> EventPrio {
+    let prio = EventPrio {
+        birth: now,
+        node,
+        seq: *seq,
+    };
+    *seq += 1;
+    prio
+}
 
 // ------------------------------------------------------------ windows
 
@@ -582,9 +597,7 @@ pub struct CanonicalSim<A: Actor> {
     topology: Topology,
     radio: RadioConfig,
     actors: Vec<A>,
-    alive: Vec<bool>,
-    departed: Vec<bool>,
-    dormant: Vec<bool>,
+    life: NodeTable,
     rngs: Vec<StdRng>,
     next_seq: Vec<u64>,
     ext_seq: u64,
@@ -593,8 +606,6 @@ pub struct CanonicalSim<A: Actor> {
     energy: LazyEnergy,
     metrics: SimMetrics,
     trace: Trace,
-    timers: TimerSlab,
-    node_timers: Vec<Vec<(u64, u32)>>,
     started: bool,
     faults: ChannelFaults,
     scratch_neighbors: Vec<NodeId>,
@@ -619,9 +630,7 @@ impl<A: Actor> CanonicalSim<A> {
         let n = topology.len();
         CanonicalSim {
             actors: topology.node_ids().map(&mut make_actor).collect(),
-            alive: vec![true; n],
-            departed: vec![false; n],
-            dormant: vec![false; n],
+            life: NodeTable::new(n),
             rngs: (0..n)
                 .map(|i| StdRng::seed_from_u64(derive_seed(seed, 1 + i as u64)))
                 .collect(),
@@ -632,8 +641,6 @@ impl<A: Actor> CanonicalSim<A> {
             energy: LazyEnergy::new(n, EnergyModel::default()),
             metrics: SimMetrics::new(n),
             trace: Trace::disabled(),
-            timers: TimerSlab::default(),
-            node_timers: vec![Vec::new(); n],
             started: false,
             faults: ChannelFaults::new(n),
             scratch_neighbors: Vec::new(),
@@ -698,17 +705,17 @@ impl<A: Actor> CanonicalSim<A> {
 
     /// Whether `node` is operational.
     pub fn is_alive(&self, node: NodeId) -> bool {
-        self.alive[node.index()]
+        self.life.is_alive(node.index())
     }
 
     /// Whether `node` withdrew gracefully.
     pub fn has_departed(&self, node: NodeId) -> bool {
-        self.departed[node.index()]
+        self.life.state(node.index()) == Life::Departed
     }
 
     /// Whether `node` is an unactivated late arrival.
     pub fn is_dormant(&self, node: NodeId) -> bool {
-        self.dormant[node.index()]
+        self.life.state(node.index()) == Life::Dormant
     }
 
     /// Remaining charge per node, in node order (synced by the last
@@ -722,66 +729,44 @@ impl<A: Actor> CanonicalSim<A> {
         imbalance_of(&self.energy.remaining)
     }
 
-    fn next_ext_prio(&mut self) -> EventPrio {
-        let seq = self.ext_seq;
-        self.ext_seq += 1;
-        EventPrio {
-            birth: self.now,
-            node: EXTERNAL_NODE,
-            seq,
+    /// Clamps `at` to `now()` and queues `kind` for a known `node`
+    /// under the next external priority; unknown nodes are ignored.
+    /// Returns the effective instant.
+    fn schedule_external(&mut self, node: NodeId, at: SimTime, kind: EventKind<A::Msg>) -> SimTime {
+        let at = at.max(self.now);
+        if node.index() < self.topology.len() {
+            let prio = next_prio(self.now, EXTERNAL_NODE, &mut self.ext_seq);
+            self.heap.push(at, prio, kind);
         }
+        at
     }
 
     /// Schedules a fail-stop crash (saturating, non-panicking —
     /// `Simulator::schedule_crash` semantics). Returns the effective
     /// instant.
     pub fn schedule_crash(&mut self, node: NodeId, at: SimTime) -> SimTime {
-        let at = at.max(self.now);
-        if node.index() < self.topology.len() {
-            let prio = self.next_ext_prio();
-            self.heap.push(at, prio, EventKind::Crash { node });
-        }
-        at
+        self.schedule_external(node, at, EventKind::Crash { node })
     }
 
     /// Schedules the activation of a dormant node.
     pub fn schedule_join(&mut self, node: NodeId, at: SimTime) -> SimTime {
-        let at = at.max(self.now);
-        if node.index() < self.topology.len() {
-            let prio = self.next_ext_prio();
-            self.heap.push(at, prio, EventKind::Join { node });
-        }
-        at
+        self.schedule_external(node, at, EventKind::Join { node })
     }
 
     /// Schedules a graceful withdrawal.
     pub fn schedule_leave(&mut self, node: NodeId, at: SimTime) -> SimTime {
-        let at = at.max(self.now);
-        if node.index() < self.topology.len() {
-            let prio = self.next_ext_prio();
-            self.heap.push(at, prio, EventKind::Leave { node });
-        }
-        at
+        self.schedule_external(node, at, EventKind::Leave { node })
     }
 
     /// Schedules the return of a crashed or departed node.
     pub fn schedule_rejoin(&mut self, node: NodeId, at: SimTime) -> SimTime {
-        let at = at.max(self.now);
-        if node.index() < self.topology.len() {
-            let prio = self.next_ext_prio();
-            self.heap.push(at, prio, EventKind::Rejoin { node });
-        }
-        at
+        self.schedule_external(node, at, EventKind::Rejoin { node })
     }
 
     /// Marks `node` as a late arrival (same no-op contract as
     /// `Simulator::set_dormant`).
     pub fn set_dormant(&mut self, node: NodeId) {
-        if self.started || node.index() >= self.topology.len() || !self.alive[node.index()] {
-            return;
-        }
-        self.alive[node.index()] = false;
-        self.dormant[node.index()] = true;
+        self.life.set_dormant(node.index(), self.started);
     }
 
     /// The channel faults (`Simulator::faults_mut` semantics).
@@ -795,8 +780,10 @@ impl<A: Actor> CanonicalSim<A> {
     pub fn run_until(&mut self, deadline: SimTime) {
         self.ensure_started();
         let lim = SimTime::from_micros(deadline.as_micros().saturating_add(1));
-        while let Some((at, prio, kind)) = self.heap.pop_before(lim) {
-            self.dispatch(at, prio, kind);
+        while let Some((at, _, kind)) = self.heap.pop_before(lim) {
+            debug_assert!(at >= self.now, "canonical queue went backwards");
+            self.now = at;
+            lifecycle::apply(self, kind);
         }
         let end = self.now.max(deadline);
         self.energy.sync_all(end);
@@ -809,146 +796,10 @@ impl<A: Actor> CanonicalSim<A> {
         }
         self.started = true;
         for i in 0..self.actors.len() {
-            if !self.alive[i] {
-                continue;
+            if self.life.is_alive(i) {
+                self.call(i, NodeId(i as u32), Callback::Start);
             }
-            let node = NodeId(i as u32);
-            let e = self.energy.read(i, self.now);
-            let mut ctx = Ctx::new(self.now, node, &mut self.rngs[i]).with_energy(e);
-            ctx.commands = std::mem::take(&mut self.scratch_commands);
-            self.actors[i].on_start(&mut ctx);
-            let commands = ctx.commands;
-            self.apply_commands(node, commands);
         }
-    }
-
-    fn dispatch(&mut self, at: SimTime, _prio: EventPrio, kind: EventKind<A::Msg>) {
-        debug_assert!(at >= self.now, "canonical queue went backwards");
-        self.now = at;
-        match kind {
-            EventKind::Deliver { to, from, msg } => self.apply_delivery(to, from, msg),
-            EventKind::Timer { node, token, id } => self.apply_timer(node, token, id),
-            EventKind::Crash { node } => self.apply_crash(node),
-            EventKind::Join { node } => self.apply_join(node),
-            EventKind::Leave { node } => self.apply_leave(node),
-            EventKind::Rejoin { node } => self.apply_rejoin(node),
-        }
-    }
-
-    fn push_trace(&mut self, kind: TraceKind, node: NodeId, peer: NodeId) {
-        if self.trace.is_enabled() {
-            self.trace.push(TraceRecord {
-                at: self.now,
-                node,
-                peer,
-                kind,
-            });
-        }
-    }
-
-    fn apply_delivery(&mut self, to: NodeId, from: NodeId, msg: A::Msg) {
-        let i = to.index();
-        if !self.alive[i] {
-            self.metrics.record_dropped_dead();
-            return;
-        }
-        self.metrics.record_delivery();
-        self.energy.charge_rx(i, self.now);
-        self.push_trace(TraceKind::Receive, to, from);
-        let e = self.energy.read(i, self.now);
-        let mut ctx = Ctx::new(self.now, to, &mut self.rngs[i]).with_energy(e);
-        ctx.commands = std::mem::take(&mut self.scratch_commands);
-        self.actors[i].on_message(&mut ctx, from, &msg);
-        let commands = ctx.commands;
-        self.apply_commands(to, commands);
-    }
-
-    fn apply_timer(&mut self, node: NodeId, token: u64, stamp: u64) {
-        if !self.timers.try_fire(stamp) {
-            return;
-        }
-        let (slot, _) = unpack_timer(stamp);
-        let i = node.index();
-        let pending = &mut self.node_timers[i];
-        if let Some(at) = pending.iter().position(|&(_, s)| s == slot) {
-            pending.swap_remove(at);
-        }
-        if !self.alive[i] {
-            return;
-        }
-        self.metrics.record_timer();
-        self.push_trace(TraceKind::Timer, node, node);
-        let e = self.energy.read(i, self.now);
-        let mut ctx = Ctx::new(self.now, node, &mut self.rngs[i]).with_energy(e);
-        ctx.commands = std::mem::take(&mut self.scratch_commands);
-        self.actors[i].on_timer(&mut ctx, TimerToken(token));
-        let commands = ctx.commands;
-        self.apply_commands(node, commands);
-    }
-
-    fn apply_crash(&mut self, node: NodeId) {
-        if !self.alive[node.index()] {
-            return;
-        }
-        self.alive[node.index()] = false;
-        self.push_trace(TraceKind::Crash, node, node);
-    }
-
-    fn apply_join(&mut self, node: NodeId) {
-        let i = node.index();
-        if !self.dormant[i] {
-            return;
-        }
-        self.dormant[i] = false;
-        self.alive[i] = true;
-        self.push_trace(TraceKind::Join, node, node);
-        let e = self.energy.read(i, self.now);
-        let mut ctx = Ctx::new(self.now, node, &mut self.rngs[i]).with_energy(e);
-        ctx.commands = std::mem::take(&mut self.scratch_commands);
-        self.actors[i].on_start(&mut ctx);
-        let commands = ctx.commands;
-        self.apply_commands(node, commands);
-    }
-
-    fn apply_leave(&mut self, node: NodeId) {
-        let i = node.index();
-        if !self.alive[i] {
-            return;
-        }
-        let e = self.energy.read(i, self.now);
-        let mut ctx = Ctx::new(self.now, node, &mut self.rngs[i]).with_energy(e);
-        ctx.commands = std::mem::take(&mut self.scratch_commands);
-        self.actors[i].on_leave(&mut ctx);
-        let commands = ctx.commands;
-        self.apply_commands(node, commands);
-        self.alive[i] = false;
-        self.departed[i] = true;
-        self.invalidate_node_timers(node);
-        self.push_trace(TraceKind::Leave, node, node);
-    }
-
-    fn apply_rejoin(&mut self, node: NodeId) {
-        let i = node.index();
-        if self.alive[i] || self.dormant[i] {
-            return;
-        }
-        self.invalidate_node_timers(node);
-        self.alive[i] = true;
-        self.departed[i] = false;
-        self.push_trace(TraceKind::Rejoin, node, node);
-        let e = self.energy.read(i, self.now);
-        let mut ctx = Ctx::new(self.now, node, &mut self.rngs[i]).with_energy(e);
-        ctx.commands = std::mem::take(&mut self.scratch_commands);
-        self.actors[i].on_rejoin(&mut ctx);
-        let commands = ctx.commands;
-        self.apply_commands(node, commands);
-    }
-
-    fn invalidate_node_timers(&mut self, node: NodeId) {
-        for &(_, slot) in &self.node_timers[node.index()] {
-            self.timers.invalidate(slot);
-        }
-        self.node_timers[node.index()].clear();
     }
 
     fn apply_commands(&mut self, node: NodeId, mut commands: Vec<Command<A::Msg>>) {
@@ -957,36 +808,11 @@ impl<A: Actor> CanonicalSim<A> {
                 Command::Broadcast(msg) => self.transmit(node, msg),
                 Command::SetTimer { fire_at, token } => {
                     let i = node.index();
-                    let stamp = self.timers.alloc();
-                    let (slot, _) = unpack_timer(stamp);
-                    self.node_timers[i].push((token.0, slot));
-                    let seq = self.next_seq[i];
-                    self.next_seq[i] += 1;
-                    self.heap.push(
-                        fire_at,
-                        EventPrio {
-                            birth: self.now,
-                            node: node.0,
-                            seq,
-                        },
-                        EventKind::Timer {
-                            node,
-                            token: token.0,
-                            id: stamp,
-                        },
-                    );
+                    let timer = self.life.set_timer(i, node, token);
+                    let prio = next_prio(self.now, node.0, &mut self.next_seq[i]);
+                    self.heap.push(fire_at, prio, timer);
                 }
-                Command::CancelTimer { token } => {
-                    let timers = &mut self.timers;
-                    self.node_timers[node.index()].retain(|&(t, slot)| {
-                        if t == token.0 {
-                            timers.invalidate(slot);
-                            false
-                        } else {
-                            true
-                        }
-                    });
-                }
+                Command::CancelTimer { token } => self.life.cancel_timer(node.index(), token),
             }
         }
         self.scratch_commands = commands;
@@ -999,7 +825,7 @@ impl<A: Actor> CanonicalSim<A> {
         neighbors.extend_from_slice(self.topology.neighbors(from));
         self.metrics.record_transmission(from, neighbors.len());
         self.energy.charge_tx(i, self.now);
-        self.push_trace(TraceKind::Transmit, from, from);
+        self.record(TraceKind::Transmit, from, from);
         let from_pos = self.topology.position(from);
         let delay_base = self.radio.delay();
         let jitter = self.radio.jitter();
@@ -1012,20 +838,15 @@ impl<A: Actor> CanonicalSim<A> {
                     .is_lost(from, to, from_pos, to_pos, &mut self.rngs[i]);
             if lost {
                 self.metrics.record_loss();
-                self.push_trace(TraceKind::Loss, to, from);
+                self.record(TraceKind::Loss, to, from);
                 continue;
             }
             let delay = draw_delay(delay_base, jitter, &mut self.rngs[i])
                 + self.faults.lag_run(from).extra(to);
-            let seq = self.next_seq[i];
-            self.next_seq[i] += 1;
+            let prio = next_prio(self.now, from.0, &mut self.next_seq[i]);
             self.heap.push(
                 self.now + delay,
-                EventPrio {
-                    birth: self.now,
-                    node: from.0,
-                    seq,
-                },
+                prio,
                 EventKind::Deliver {
                     to,
                     from,
@@ -1033,15 +854,10 @@ impl<A: Actor> CanonicalSim<A> {
                 },
             );
             if let Some(dup_lag) = self.faults.duplicate(&mut self.rngs[i]) {
-                let seq = self.next_seq[i];
-                self.next_seq[i] += 1;
+                let prio = next_prio(self.now, from.0, &mut self.next_seq[i]);
                 self.heap.push(
                     self.now + delay + dup_lag,
-                    EventPrio {
-                        birth: self.now,
-                        node: from.0,
-                        seq,
-                    },
+                    prio,
                     EventKind::Deliver {
                         to,
                         from,
@@ -1051,6 +867,56 @@ impl<A: Actor> CanonicalSim<A> {
             }
         }
         self.scratch_neighbors = neighbors;
+    }
+}
+
+impl<A: Actor> Engine for CanonicalSim<A> {
+    type Msg = A::Msg;
+
+    fn index(&self, node: NodeId) -> usize {
+        node.index()
+    }
+
+    fn table(&mut self) -> &mut NodeTable {
+        &mut self.life
+    }
+
+    fn drop_dead(&mut self, _: A::Msg) {
+        self.metrics.record_dropped_dead();
+    }
+
+    fn receive(&mut self, i: usize, _: NodeId) {
+        self.metrics.record_delivery();
+        self.energy.charge_rx(i, self.now);
+    }
+
+    fn count_timer(&mut self) {
+        self.metrics.record_timer();
+    }
+
+    fn record(&mut self, kind: TraceKind, node: NodeId, peer: NodeId) {
+        self.trace.push(TraceRecord {
+            at: self.now,
+            node,
+            peer,
+            kind,
+        });
+    }
+
+    fn call(&mut self, i: usize, node: NodeId, callback: Callback<A::Msg>) {
+        let e = self.energy.read(i, self.now);
+        let mut ctx = Ctx::new(self.now, node, &mut self.rngs[i]).with_energy(e);
+        ctx.commands = std::mem::take(&mut self.scratch_commands);
+        let actor = &mut self.actors[i];
+        match callback {
+            Callback::Start => actor.on_start(&mut ctx),
+            Callback::Message { from, msg } => actor.on_message(&mut ctx, from, &msg),
+            Callback::Timer(token) => actor.on_timer(&mut ctx, token),
+            Callback::Leave => actor.on_leave(&mut ctx),
+            Callback::Rejoin => actor.on_rejoin(&mut ctx),
+        }
+        let commands = ctx.commands;
+        self.apply_commands(node, commands);
     }
 }
 
@@ -1087,6 +953,15 @@ impl TileMetrics {
         }
     }
 }
+
+crate::impl_persist!(TileMetrics {
+    transmissions,
+    deliveries,
+    losses,
+    dropped_dead,
+    timers_fired,
+    tx_local,
+});
 
 /// A cross-tile delivery copy awaiting the window barrier exchange.
 /// `msg` indexes into the owning [`OutBucket`]'s message table, so
@@ -1145,17 +1020,14 @@ struct Tile<A: Actor> {
     /// index `l` ↔ global id `nodes[l]`.
     nodes: Vec<NodeId>,
     actors: Vec<A>,
-    alive: Vec<bool>,
-    departed: Vec<bool>,
-    dormant: Vec<bool>,
+    /// Lifecycle state and pending timers, by local index.
+    life: NodeTable,
     rngs: Vec<StdRng>,
     next_seq: Vec<u64>,
     energy: LazyEnergy,
     loss: Box<dyn LossModel>,
     queue: EventHeap<PayloadId>,
     payloads: PayloadArena<A::Msg>,
-    timers: TimerSlab,
-    node_timers: Vec<Vec<(u64, u32)>>,
     metrics: TileMetrics,
     /// Cross-tile copies bucketed by destination tile, in bucket
     /// creation order (at most one bucket per destination per window).
@@ -1183,6 +1055,45 @@ struct Tile<A: Actor> {
 }
 
 impl<A: Actor> Tile<A> {
+    /// Tile `index` over `nodes` at time zero: all alive, no events,
+    /// full charge under the default energy model.
+    fn new(
+        index: u32,
+        nodes: Vec<NodeId>,
+        actors: Vec<A>,
+        rngs: Vec<StdRng>,
+        loss: Box<dyn LossModel>,
+    ) -> Self {
+        let k = nodes.len();
+        Tile {
+            index,
+            nodes,
+            actors,
+            life: NodeTable::new(k),
+            rngs,
+            next_seq: vec![0; k],
+            energy: LazyEnergy::new(k, EnergyModel::default()),
+            loss,
+            queue: EventHeap::new(),
+            payloads: PayloadArena::new(),
+            metrics: TileMetrics::new(k),
+            outbox: Vec::new(),
+            bucket_pool: Vec::new(),
+            tx_dests: Vec::new(),
+            trace_buf: Vec::new(),
+            trace_cursor: 0,
+            tag: EventPrio {
+                birth: SimTime::ZERO,
+                node: EXTERNAL_NODE,
+                seq: 0,
+            },
+            now: SimTime::ZERO,
+            scratch_neighbors: Vec::new(),
+            scratch_commands: Vec::new(),
+            scratch_payload_ids: Vec::new(),
+        }
+    }
+
     fn local(&self, shared: &Shared<'_>, node: NodeId) -> usize {
         debug_assert_eq!(shared.tile_of[node.index()], self.index);
         shared.local_of[node.index()] as usize
@@ -1207,135 +1118,11 @@ impl<A: Actor> Tile<A> {
     /// short timers).
     fn run_window(&mut self, lim: SimTime, shared: &Shared<'_>) {
         while let Some((at, prio, kind)) = self.queue.pop_before(lim) {
-            self.dispatch(at, prio, kind, shared);
+            debug_assert!(at >= self.now, "tile queue went backwards");
+            self.now = at;
+            self.tag = prio;
+            lifecycle::apply(&mut TileRun { tile: self, shared }, kind);
         }
-    }
-
-    fn dispatch(
-        &mut self,
-        at: SimTime,
-        prio: EventPrio,
-        kind: EventKind<PayloadId>,
-        shared: &Shared<'_>,
-    ) {
-        debug_assert!(at >= self.now, "tile queue went backwards");
-        self.now = at;
-        self.tag = prio;
-        match kind {
-            EventKind::Deliver { to, from, msg } => self.apply_delivery(to, from, msg, shared),
-            EventKind::Timer { node, token, id } => self.apply_timer(node, token, id, shared),
-            EventKind::Crash { node } => self.apply_crash(node, shared),
-            EventKind::Join { node } => self.apply_join(node, shared),
-            EventKind::Leave { node } => self.apply_leave(node, shared),
-            EventKind::Rejoin { node } => self.apply_rejoin(node, shared),
-        }
-    }
-
-    fn apply_delivery(
-        &mut self,
-        to: NodeId,
-        from: NodeId,
-        payload: PayloadId,
-        shared: &Shared<'_>,
-    ) {
-        let l = self.local(shared, to);
-        if !self.alive[l] {
-            self.metrics.dropped_dead += 1;
-            self.payloads.release(payload);
-            return;
-        }
-        self.metrics.deliveries += 1;
-        self.energy.charge_rx(l, self.now);
-        self.push_trace(shared, TraceKind::Receive, to, from);
-        let e = self.energy.read(l, self.now);
-        let mut ctx = Ctx::new(self.now, to, &mut self.rngs[l]).with_energy(e);
-        ctx.commands = std::mem::take(&mut self.scratch_commands);
-        self.actors[l].on_message(&mut ctx, from, self.payloads.get(payload));
-        let commands = ctx.commands;
-        self.payloads.release(payload);
-        self.apply_commands(to, commands, shared);
-    }
-
-    fn apply_timer(&mut self, node: NodeId, token: u64, stamp: u64, shared: &Shared<'_>) {
-        if !self.timers.try_fire(stamp) {
-            return;
-        }
-        let (slot, _) = unpack_timer(stamp);
-        let l = self.local(shared, node);
-        let pending = &mut self.node_timers[l];
-        if let Some(at) = pending.iter().position(|&(_, s)| s == slot) {
-            pending.swap_remove(at);
-        }
-        if !self.alive[l] {
-            return;
-        }
-        self.metrics.timers_fired += 1;
-        self.push_trace(shared, TraceKind::Timer, node, node);
-        let e = self.energy.read(l, self.now);
-        let mut ctx = Ctx::new(self.now, node, &mut self.rngs[l]).with_energy(e);
-        ctx.commands = std::mem::take(&mut self.scratch_commands);
-        self.actors[l].on_timer(&mut ctx, TimerToken(token));
-        let commands = ctx.commands;
-        self.apply_commands(node, commands, shared);
-    }
-
-    fn apply_crash(&mut self, node: NodeId, shared: &Shared<'_>) {
-        let l = self.local(shared, node);
-        if !self.alive[l] {
-            return;
-        }
-        self.alive[l] = false;
-        self.push_trace(shared, TraceKind::Crash, node, node);
-    }
-
-    fn apply_join(&mut self, node: NodeId, shared: &Shared<'_>) {
-        let l = self.local(shared, node);
-        if !self.dormant[l] {
-            return;
-        }
-        self.dormant[l] = false;
-        self.alive[l] = true;
-        self.push_trace(shared, TraceKind::Join, node, node);
-        let e = self.energy.read(l, self.now);
-        let mut ctx = Ctx::new(self.now, node, &mut self.rngs[l]).with_energy(e);
-        ctx.commands = std::mem::take(&mut self.scratch_commands);
-        self.actors[l].on_start(&mut ctx);
-        let commands = ctx.commands;
-        self.apply_commands(node, commands, shared);
-    }
-
-    fn apply_leave(&mut self, node: NodeId, shared: &Shared<'_>) {
-        let l = self.local(shared, node);
-        if !self.alive[l] {
-            return;
-        }
-        let e = self.energy.read(l, self.now);
-        let mut ctx = Ctx::new(self.now, node, &mut self.rngs[l]).with_energy(e);
-        ctx.commands = std::mem::take(&mut self.scratch_commands);
-        self.actors[l].on_leave(&mut ctx);
-        let commands = ctx.commands;
-        self.apply_commands(node, commands, shared);
-        self.alive[l] = false;
-        self.departed[l] = true;
-        self.invalidate_node_timers(l);
-        self.push_trace(shared, TraceKind::Leave, node, node);
-    }
-
-    fn apply_rejoin(&mut self, node: NodeId, shared: &Shared<'_>) {
-        let l = self.local(shared, node);
-        if self.alive[l] || self.dormant[l] {
-            return;
-        }
-        self.invalidate_node_timers(l);
-        self.alive[l] = true;
-        self.departed[l] = false;
-        self.push_trace(shared, TraceKind::Rejoin, node, node);
-        let e = self.energy.read(l, self.now);
-        let mut ctx = Ctx::new(self.now, node, &mut self.rngs[l]).with_energy(e);
-        ctx.commands = std::mem::take(&mut self.scratch_commands);
-        self.actors[l].on_rejoin(&mut ctx);
-        let commands = ctx.commands;
-        self.apply_commands(node, commands, shared);
     }
 
     fn start_node(&mut self, l: usize, node: NodeId, shared: &Shared<'_>) {
@@ -1344,63 +1131,25 @@ impl<A: Actor> Tile<A> {
             node: node.0,
             seq: 0,
         };
-        let e = self.energy.read(l, self.now);
-        let mut ctx = Ctx::new(self.now, node, &mut self.rngs[l]).with_energy(e);
-        ctx.commands = std::mem::take(&mut self.scratch_commands);
-        self.actors[l].on_start(&mut ctx);
-        let commands = ctx.commands;
-        self.apply_commands(node, commands, shared);
-    }
-
-    fn invalidate_node_timers(&mut self, l: usize) {
-        for &(_, slot) in &self.node_timers[l] {
-            self.timers.invalidate(slot);
-        }
-        self.node_timers[l].clear();
+        TileRun { tile: self, shared }.call(l, node, Callback::Start);
     }
 
     fn apply_commands(
         &mut self,
+        l: usize,
         node: NodeId,
         mut commands: Vec<Command<A::Msg>>,
         shared: &Shared<'_>,
     ) {
         for command in commands.drain(..) {
             match command {
-                Command::Broadcast(msg) => self.transmit(node, msg, shared),
+                Command::Broadcast(msg) => self.transmit(l, node, msg, shared),
                 Command::SetTimer { fire_at, token } => {
-                    let l = self.local(shared, node);
-                    let stamp = self.timers.alloc();
-                    let (slot, _) = unpack_timer(stamp);
-                    self.node_timers[l].push((token.0, slot));
-                    let seq = self.next_seq[l];
-                    self.next_seq[l] += 1;
-                    self.queue.push(
-                        fire_at,
-                        EventPrio {
-                            birth: self.now,
-                            node: node.0,
-                            seq,
-                        },
-                        EventKind::Timer {
-                            node,
-                            token: token.0,
-                            id: stamp,
-                        },
-                    );
+                    let timer = self.life.set_timer(l, node, token);
+                    let prio = next_prio(self.now, node.0, &mut self.next_seq[l]);
+                    self.queue.push(fire_at, prio, timer);
                 }
-                Command::CancelTimer { token } => {
-                    let l = self.local(shared, node);
-                    let timers = &mut self.timers;
-                    self.node_timers[l].retain(|&(t, slot)| {
-                        if t == token.0 {
-                            timers.invalidate(slot);
-                            false
-                        } else {
-                            true
-                        }
-                    });
-                }
+                Command::CancelTimer { token } => self.life.cancel_timer(l, token),
             }
         }
         self.scratch_commands = commands;
@@ -1454,8 +1203,7 @@ impl<A: Actor> Tile<A> {
         });
     }
 
-    fn transmit(&mut self, from: NodeId, msg: A::Msg, shared: &Shared<'_>) {
-        let lf = self.local(shared, from);
+    fn transmit(&mut self, lf: usize, from: NodeId, msg: A::Msg, shared: &Shared<'_>) {
         let mut neighbors = std::mem::take(&mut self.scratch_neighbors);
         neighbors.clear();
         neighbors.extend_from_slice(shared.topology.neighbors(from));
@@ -1482,13 +1230,7 @@ impl<A: Actor> Tile<A> {
             let delay =
                 draw_delay(shared.delay, shared.jitter, &mut self.rngs[lf]) + lags.extra(to);
             let at = self.now + delay;
-            let seq = self.next_seq[lf];
-            self.next_seq[lf] += 1;
-            let prio = EventPrio {
-                birth: self.now,
-                node: from.0,
-                seq,
-            };
+            let prio = next_prio(self.now, from.0, &mut self.next_seq[lf]);
             let dst = shared.tile_of[to.index()];
             let local_dest = dst == self.index;
             if local_dest {
@@ -1507,13 +1249,7 @@ impl<A: Actor> Tile<A> {
             }
             if let Some(dup_lag) = shared.faults.duplicate(&mut self.rngs[lf]) {
                 let dup_at = at + dup_lag;
-                let seq = self.next_seq[lf];
-                self.next_seq[lf] += 1;
-                let dup_prio = EventPrio {
-                    birth: self.now,
-                    node: from.0,
-                    seq,
-                };
+                let dup_prio = next_prio(self.now, from.0, &mut self.next_seq[lf]);
                 if local_dest {
                     refs += 1;
                     self.queue.push(
@@ -1533,6 +1269,79 @@ impl<A: Actor> Tile<A> {
         self.payloads.set_refs(payload, refs);
         self.scratch_neighbors = neighbors;
     }
+}
+
+/// One tile under the window's shared view: what `lifecycle::apply`
+/// runs the tile's events on.
+struct TileRun<'t, 's, A: Actor> {
+    tile: &'t mut Tile<A>,
+    shared: &'t Shared<'s>,
+}
+
+impl<A: Actor> Engine for TileRun<'_, '_, A> {
+    type Msg = PayloadId;
+
+    fn index(&self, node: NodeId) -> usize {
+        self.tile.local(self.shared, node)
+    }
+
+    fn table(&mut self) -> &mut NodeTable {
+        &mut self.tile.life
+    }
+
+    fn drop_dead(&mut self, msg: PayloadId) {
+        self.tile.metrics.dropped_dead += 1;
+        self.tile.payloads.release(msg);
+    }
+
+    fn receive(&mut self, i: usize, _: NodeId) {
+        self.tile.metrics.deliveries += 1;
+        self.tile.energy.charge_rx(i, self.tile.now);
+    }
+
+    fn count_timer(&mut self) {
+        self.tile.metrics.timers_fired += 1;
+    }
+
+    fn record(&mut self, kind: TraceKind, node: NodeId, peer: NodeId) {
+        self.tile.push_trace(self.shared, kind, node, peer);
+    }
+
+    fn call(&mut self, i: usize, node: NodeId, callback: Callback<PayloadId>) {
+        let tile = &mut *self.tile;
+        let e = tile.energy.read(i, tile.now);
+        let mut ctx = Ctx::new(tile.now, node, &mut tile.rngs[i]).with_energy(e);
+        ctx.commands = std::mem::take(&mut tile.scratch_commands);
+        let actor = &mut tile.actors[i];
+        match callback {
+            Callback::Start => actor.on_start(&mut ctx),
+            Callback::Message { from, msg } => {
+                actor.on_message(&mut ctx, from, tile.payloads.get(msg));
+                tile.payloads.release(msg);
+            }
+            Callback::Timer(token) => actor.on_timer(&mut ctx, token),
+            Callback::Leave => actor.on_leave(&mut ctx),
+            Callback::Rejoin => actor.on_rejoin(&mut ctx),
+        }
+        let commands = ctx.commands;
+        tile.apply_commands(i, node, commands, self.shared);
+    }
+}
+
+/// Tile membership under `grid`: each node's tile and its local index
+/// there, and each tile's nodes in ascending id order. A pure function
+/// of `(topology, grid)`, so snapshots never store it.
+fn membership(topology: &Topology, grid: &TileGrid) -> (Vec<u32>, Vec<u32>, Vec<Vec<NodeId>>) {
+    let n = topology.len();
+    let (mut tile_of, mut local_of) = (vec![0u32; n], vec![0u32; n]);
+    let mut members: Vec<Vec<NodeId>> = vec![Vec::new(); grid.len()];
+    for node in topology.node_ids() {
+        let t = grid.tile_of(topology.position(node));
+        tile_of[node.index()] = t;
+        local_of[node.index()] = members[t as usize].len() as u32;
+        members[t as usize].push(node);
+    }
+    (tile_of, local_of, members)
 }
 
 /// Splits a loss-model snapshot into the tile-local model for tile
@@ -1626,18 +1435,7 @@ impl<A: Actor> TiledSim<A> {
             .snapshot()
             .expect("tiled engine requires a snapshot-capable loss model");
         let grid = TileGrid::new(topology.positions(), gx, gy);
-        let n = topology.len();
-        let ntiles = grid.len();
-        let mut tile_of = vec![0u32; n];
-        let mut local_of = vec![0u32; n];
-        let mut members: Vec<Vec<NodeId>> = vec![Vec::new(); ntiles];
-        for i in 0..n {
-            let node = NodeId(i as u32);
-            let t = grid.tile_of(topology.position(node));
-            tile_of[i] = t;
-            local_of[i] = members[t as usize].len() as u32;
-            members[t as usize].push(node);
-        }
+        let (tile_of, local_of, members) = membership(&topology, &grid);
         // Actors are built in global node order (a stateful
         // `make_actor` closure must see the same call sequence as the
         // canonical engine), then distributed to their tiles.
@@ -1647,57 +1445,45 @@ impl<A: Actor> TiledSim<A> {
             .into_iter()
             .enumerate()
             .map(|(t, nodes)| {
-                let k = nodes.len();
-                Tile {
-                    index: t as u32,
-                    actors: nodes
-                        .iter()
-                        .map(|id| actors_by_node[id.index()].take().expect("node owned once"))
-                        .collect(),
-                    alive: vec![true; k],
-                    departed: vec![false; k],
-                    dormant: vec![false; k],
-                    rngs: nodes
-                        .iter()
-                        .map(|id| StdRng::seed_from_u64(derive_seed(seed, 1 + id.0 as u64)))
-                        .collect(),
-                    next_seq: vec![0; k],
-                    energy: LazyEnergy::new(k, EnergyModel::default()),
-                    loss: split_loss(&snapshot, &tile_of, t as u32),
-                    queue: EventHeap::new(),
-                    payloads: PayloadArena::new(),
-                    timers: TimerSlab::default(),
-                    node_timers: vec![Vec::new(); k],
-                    metrics: TileMetrics::new(k),
-                    outbox: Vec::new(),
-                    bucket_pool: Vec::new(),
-                    tx_dests: Vec::new(),
-                    trace_buf: Vec::new(),
-                    trace_cursor: 0,
-                    tag: EventPrio {
-                        birth: SimTime::ZERO,
-                        node: EXTERNAL_NODE,
-                        seq: 0,
-                    },
-                    now: SimTime::ZERO,
-                    scratch_neighbors: Vec::new(),
-                    scratch_commands: Vec::new(),
-                    scratch_payload_ids: Vec::new(),
-                    nodes,
-                }
+                let actors = nodes
+                    .iter()
+                    .map(|id| actors_by_node[id.index()].take().expect("node owned once"))
+                    .collect();
+                let rngs = nodes
+                    .iter()
+                    .map(|id| StdRng::seed_from_u64(derive_seed(seed, 1 + id.0 as u64)))
+                    .collect();
+                let loss = split_loss(&snapshot, &tile_of, t as u32);
+                Tile::new(t as u32, nodes, actors, rngs, loss)
             })
             .collect();
+        let (delay, jitter) = (radio.delay(), radio.jitter());
+        Self::assemble(topology, grid, tile_of, local_of, tiles, delay, jitter)
+    }
+
+    /// An engine at time zero over `tiles`: no faults, no trace, the
+    /// default energy model, one worker.
+    fn assemble(
+        topology: Topology,
+        grid: TileGrid,
+        tile_of: Vec<u32>,
+        local_of: Vec<u32>,
+        tiles: Vec<Tile<A>>,
+        delay: SimDuration,
+        jitter: SimDuration,
+    ) -> Self {
+        let ntiles = tiles.len();
         TiledSim {
             grid,
             tile_of,
             local_of,
             tiles,
-            delay: radio.delay(),
-            jitter: radio.jitter(),
+            delay,
+            jitter,
             now: SimTime::ZERO,
             started: false,
             ext_seq: 0,
-            faults: ChannelFaults::new(n),
+            faults: ChannelFaults::new(topology.len()),
             trace: Trace::disabled(),
             model: EnergyModel::default(),
             workers: 1,
@@ -1811,8 +1597,8 @@ impl<A: Actor> TiledSim<A> {
 
     /// Shared access to the actor on `node`.
     pub fn actor(&self, node: NodeId) -> &A {
-        let t = self.tile_of[node.index()] as usize;
-        &self.tiles[t].actors[self.local_of[node.index()] as usize]
+        let (t, l) = self.locate(node);
+        &self.tiles[t].actors[l]
     }
 
     /// Iterates over `(id, actor)` pairs in global node order.
@@ -1820,22 +1606,32 @@ impl<A: Actor> TiledSim<A> {
         self.topology.node_ids().map(move |id| (id, self.actor(id)))
     }
 
+    /// The `(tile, local index)` of `node`.
+    fn locate(&self, node: NodeId) -> (usize, usize) {
+        (
+            self.tile_of[node.index()] as usize,
+            self.local_of[node.index()] as usize,
+        )
+    }
+
+    fn life(&self, node: NodeId) -> Life {
+        let (t, l) = self.locate(node);
+        self.tiles[t].life.state(l)
+    }
+
     /// Whether `node` is operational.
     pub fn is_alive(&self, node: NodeId) -> bool {
-        let t = self.tile_of[node.index()] as usize;
-        self.tiles[t].alive[self.local_of[node.index()] as usize]
+        self.life(node) == Life::Alive
     }
 
     /// Whether `node` withdrew gracefully.
     pub fn has_departed(&self, node: NodeId) -> bool {
-        let t = self.tile_of[node.index()] as usize;
-        self.tiles[t].departed[self.local_of[node.index()] as usize]
+        self.life(node) == Life::Departed
     }
 
     /// Whether `node` is an unactivated late arrival.
     pub fn is_dormant(&self, node: NodeId) -> bool {
-        let t = self.tile_of[node.index()] as usize;
-        self.tiles[t].dormant[self.local_of[node.index()] as usize]
+        self.life(node) == Life::Dormant
     }
 
     /// Remaining charge per node in global node order (synced by the
@@ -1856,68 +1652,51 @@ impl<A: Actor> TiledSim<A> {
         imbalance_of(&self.energy_remaining_vec())
     }
 
-    fn next_ext_prio(&mut self) -> EventPrio {
-        let seq = self.ext_seq;
-        self.ext_seq += 1;
-        EventPrio {
-            birth: self.now,
-            node: EXTERNAL_NODE,
-            seq,
+    /// Clamps `at` to `now()` and queues `kind` on the tile owning a
+    /// known `node`, under the next external priority; unknown nodes
+    /// are ignored. Returns the effective instant.
+    fn schedule_external(
+        &mut self,
+        node: NodeId,
+        at: SimTime,
+        kind: EventKind<PayloadId>,
+    ) -> SimTime {
+        let at = at.max(self.now);
+        if node.index() < self.topology.len() {
+            let prio = next_prio(self.now, EXTERNAL_NODE, &mut self.ext_seq);
+            let t = self.tile_of[node.index()] as usize;
+            self.tiles[t].queue.push(at, prio, kind);
         }
-    }
-
-    fn schedule_external(&mut self, node: NodeId, at: SimTime, kind: EventKind<PayloadId>) {
-        let prio = self.next_ext_prio();
-        let t = self.tile_of[node.index()] as usize;
-        self.tiles[t].queue.push(at, prio, kind);
+        at
     }
 
     /// Schedules a fail-stop crash (saturating, non-panicking).
     pub fn schedule_crash(&mut self, node: NodeId, at: SimTime) -> SimTime {
-        let at = at.max(self.now);
-        if node.index() < self.topology.len() {
-            self.schedule_external(node, at, EventKind::Crash { node });
-        }
-        at
+        self.schedule_external(node, at, EventKind::Crash { node })
     }
 
     /// Schedules the activation of a dormant node.
     pub fn schedule_join(&mut self, node: NodeId, at: SimTime) -> SimTime {
-        let at = at.max(self.now);
-        if node.index() < self.topology.len() {
-            self.schedule_external(node, at, EventKind::Join { node });
-        }
-        at
+        self.schedule_external(node, at, EventKind::Join { node })
     }
 
     /// Schedules a graceful withdrawal.
     pub fn schedule_leave(&mut self, node: NodeId, at: SimTime) -> SimTime {
-        let at = at.max(self.now);
-        if node.index() < self.topology.len() {
-            self.schedule_external(node, at, EventKind::Leave { node });
-        }
-        at
+        self.schedule_external(node, at, EventKind::Leave { node })
     }
 
     /// Schedules the return of a crashed or departed node.
     pub fn schedule_rejoin(&mut self, node: NodeId, at: SimTime) -> SimTime {
-        let at = at.max(self.now);
-        if node.index() < self.topology.len() {
-            self.schedule_external(node, at, EventKind::Rejoin { node });
-        }
-        at
+        self.schedule_external(node, at, EventKind::Rejoin { node })
     }
 
     /// Marks `node` as a late arrival (no-op after start / for unknown
     /// or dead nodes).
     pub fn set_dormant(&mut self, node: NodeId) {
-        if self.started || node.index() >= self.topology.len() || !self.is_alive(node) {
-            return;
+        if node.index() < self.topology.len() {
+            let (t, l) = self.locate(node);
+            self.tiles[t].life.set_dormant(l, self.started);
         }
-        let t = self.tile_of[node.index()] as usize;
-        let l = self.local_of[node.index()] as usize;
-        self.tiles[t].alive[l] = false;
-        self.tiles[t].dormant[l] = true;
     }
 
     /// The channel faults (`Simulator::faults_mut` semantics).
@@ -1958,7 +1737,7 @@ where
             };
             crate::par::par_for_each_mut(workers, &mut self.tiles, |_, tile| {
                 for l in 0..tile.nodes.len() {
-                    if tile.alive[l] {
+                    if tile.life.is_alive(l) {
                         let node = tile.nodes[l];
                         tile.start_node(l, node, &shared);
                     }
@@ -2224,22 +2003,14 @@ where
             };
             loss.persist(&mut w);
             tile.actors.persist(&mut w);
-            tile.alive.persist(&mut w);
-            tile.departed.persist(&mut w);
-            tile.dormant.persist(&mut w);
+            tile.life.persist_liveness(&mut w);
             tile.rngs.persist(&mut w);
             tile.next_seq.persist(&mut w);
             tile.energy.remaining.persist(&mut w);
             tile.energy.last_credit.persist(&mut w);
-            tile.metrics.transmissions.persist(&mut w);
-            tile.metrics.deliveries.persist(&mut w);
-            tile.metrics.losses.persist(&mut w);
-            tile.metrics.dropped_dead.persist(&mut w);
-            tile.metrics.timers_fired.persist(&mut w);
-            tile.metrics.tx_local.persist(&mut w);
+            tile.metrics.persist(&mut w);
             tile.payloads.persist(&mut w);
-            tile.timers.persist(&mut w);
-            tile.node_timers.persist(&mut w);
+            tile.life.persist_timers(&mut w);
             tile.now.persist(&mut w);
             tile.queue.sorted_entries().persist(&mut w);
         }
@@ -2284,120 +2055,66 @@ where
         // snapshot doesn't store it, it is recomputed and each tile
         // section validated against the recomputed population.
         let grid = TileGrid::new(topology.positions(), gx, gy);
-        let ntiles = grid.len();
-        let mut tile_of = vec![0u32; n];
-        let mut local_of = vec![0u32; n];
-        let mut members: Vec<Vec<NodeId>> = vec![Vec::new(); ntiles];
-        for i in 0..n {
-            let node = NodeId(i as u32);
-            let t = grid.tile_of(topology.position(node));
-            tile_of[i] = t;
-            local_of[i] = members[t as usize].len() as u32;
-            members[t as usize].push(node);
-        }
-        let mut tiles = Vec::with_capacity(ntiles);
+        let (tile_of, local_of, members) = membership(&topology, &grid);
+        let mut tiles = Vec::with_capacity(grid.len());
         for (t, nodes) in members.into_iter().enumerate() {
             let k = nodes.len();
             let loss = LossSnapshot::restore(&mut r)?;
             let actors: Vec<A> = Vec::restore(&mut r)?;
-            let alive: Vec<bool> = Vec::restore(&mut r)?;
-            let departed: Vec<bool> = Vec::restore(&mut r)?;
-            let dormant: Vec<bool> = Vec::restore(&mut r)?;
+            let mut life = NodeTable::restore_liveness(&mut r, k)?;
             let rngs: Vec<StdRng> = Vec::restore(&mut r)?;
             let next_seq: Vec<u64> = Vec::restore(&mut r)?;
             let remaining: Vec<f64> = Vec::restore(&mut r)?;
             let last_credit: Vec<SimTime> = Vec::restore(&mut r)?;
-            let transmissions = u64::restore(&mut r)?;
-            let deliveries = u64::restore(&mut r)?;
-            let losses = u64::restore(&mut r)?;
-            let dropped_dead = u64::restore(&mut r)?;
-            let timers_fired = u64::restore(&mut r)?;
-            let tx_local: Vec<u64> = Vec::restore(&mut r)?;
+            let metrics = TileMetrics::restore(&mut r)?;
             let payloads = PayloadArena::restore(&mut r)?;
-            let timers = TimerSlab::restore(&mut r)?;
-            let node_timers: Vec<Vec<(u64, u32)>> = Vec::restore(&mut r)?;
+            life.restore_timers(&mut r)?;
             let tile_now = SimTime::restore(&mut r)?;
             let entries: Vec<(SimTime, EventPrio, EventKind<PayloadId>)> = Vec::restore(&mut r)?;
             if actors.len() != k
-                || alive.len() != k
-                || departed.len() != k
-                || dormant.len() != k
                 || rngs.len() != k
                 || next_seq.len() != k
                 || remaining.len() != k
                 || last_credit.len() != k
-                || tx_local.len() != k
-                || node_timers.len() != k
+                || metrics.tx_local.len() != k
             {
                 return Err(CheckpointError::Corrupt("tile population size mismatch"));
             }
+            // A tile runs only events for the nodes it owns.
+            let owns = |node: NodeId| node.index() < n && tile_of[node.index()] == t as u32;
+            for (at, _, kind) in &entries {
+                if *at < tile_now {
+                    return Err(CheckpointError::Corrupt("queued event before the clock"));
+                }
+                life.check_event(kind, n, owns)?;
+            }
+            payloads.check_refs(entries.iter().map(|(_, _, kind)| kind))?;
             tiles.push(Tile {
-                index: t as u32,
-                actors,
-                alive,
-                departed,
-                dormant,
-                rngs,
+                life,
                 next_seq,
                 energy: LazyEnergy {
                     model,
                     remaining,
                     last_credit,
                 },
-                loss: loss.rebuild(),
                 queue: EventHeap::from_entries(entries),
                 payloads,
-                timers,
-                node_timers,
-                metrics: TileMetrics {
-                    transmissions,
-                    deliveries,
-                    losses,
-                    dropped_dead,
-                    timers_fired,
-                    tx_local,
-                },
-                outbox: Vec::new(),
-                bucket_pool: Vec::new(),
-                tx_dests: Vec::new(),
-                trace_buf: Vec::new(),
-                trace_cursor: 0,
-                tag: EventPrio {
-                    birth: SimTime::ZERO,
-                    node: EXTERNAL_NODE,
-                    seq: 0,
-                },
+                metrics,
                 now: tile_now,
-                scratch_neighbors: Vec::new(),
-                scratch_commands: Vec::new(),
-                scratch_payload_ids: Vec::new(),
-                nodes,
+                ..Tile::new(t as u32, nodes, actors, rngs, loss.rebuild())
             });
         }
         if r.remaining() != 0 {
             return Err(CheckpointError::Corrupt("trailing bytes"));
         }
         Ok(TiledSim {
-            grid,
-            tile_of,
-            local_of,
-            tiles,
-            delay,
-            jitter,
             now,
             started,
             ext_seq,
             faults,
             trace,
             model,
-            workers: 1,
-            sched: TileSchedule::new(ntiles),
-            active: Vec::new(),
-            dest_in: (0..ntiles).map(|_| Vec::new()).collect(),
-            window_dests: Vec::new(),
-            merge_heap: BinaryHeap::new(),
-            breakdown: BarrierBreakdown::default(),
-            topology,
+            ..TiledSim::assemble(topology, grid, tile_of, local_of, tiles, delay, jitter)
         })
     }
 
@@ -2854,5 +2571,104 @@ mod tests {
         let var = vals.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / 4.0;
         assert_eq!(imbalance_of(&vals), var.sqrt());
         assert_eq!(imbalance_of(&[]), 0.0);
+    }
+
+    crate::impl_persist!(Chatter {
+        pings,
+        heard,
+        timer_fires,
+    });
+
+    /// A 2×1 world of two nodes, one per tile, just after start: node 1
+    /// is dormant, node 0's ping to it sits in tile 1's queue, and tile
+    /// 0 holds two timers (so its sections differ from tile 1's).
+    fn snapshot_world() -> TiledSim<Chatter> {
+        let pair = Topology::from_positions(vec![Point::ORIGIN, Point::new(10.0, 0.0)], 100.0);
+        let mut sim = TiledSim::new(pair, RadioConfig::lossless(), 1, 2, 1, |_| Chatter {
+            pings: 1,
+            ..Chatter::default()
+        });
+        sim.set_dormant(NodeId(1));
+        sim.run_until(SimTime::from_micros(1));
+        sim.tiles[0]
+            .life
+            .set_timer::<PayloadId>(0, NodeId(0), TimerToken(99));
+        assert_eq!(sim.tile_of_node(NodeId(1)), 1);
+        assert!(TiledSim::<Chatter>::restore(&sim.checkpoint().unwrap()).is_ok());
+        sim
+    }
+
+    fn refusal(bytes: &[u8]) -> CheckpointError {
+        TiledSim::<Chatter>::restore(bytes).map(drop).unwrap_err()
+    }
+
+    #[test]
+    fn restore_rejects_queued_events_it_cannot_run() {
+        use CheckpointError::Corrupt;
+        let foreign = Corrupt("queued event its holder cannot run");
+        let cases = [
+            (EventKind::Crash { node: NodeId(99) }, foreign.clone()),
+            // Node 1 exists, but tile 1 owns it.
+            (EventKind::Crash { node: NodeId(1) }, foreign),
+            (
+                EventKind::Timer {
+                    node: NodeId(0),
+                    token: 1,
+                    id: 99 << 32,
+                },
+                Corrupt("queued event its holder cannot run"),
+            ),
+            (
+                EventKind::Deliver {
+                    to: NodeId(0),
+                    from: NodeId(1),
+                    msg: PayloadId(0),
+                },
+                Corrupt("queued deliveries disagree with the payload arena"),
+            ),
+        ];
+        let prio = EventPrio {
+            birth: SimTime::ZERO,
+            node: EXTERNAL_NODE,
+            seq: 99,
+        };
+        for (event, refused) in cases {
+            let mut sim = snapshot_world();
+            sim.tiles[0]
+                .queue
+                .push(SimTime::from_millis(5), prio, event);
+            assert_eq!(refusal(&sim.checkpoint().unwrap()), refused);
+        }
+        // A runnable event, but dated before the snapshot's clock.
+        let mut sim = snapshot_world();
+        let crash = EventKind::Crash { node: NodeId(0) };
+        sim.tiles[0].queue.push(SimTime::ZERO, prio, crash);
+        assert_eq!(
+            refusal(&sim.checkpoint().unwrap()),
+            Corrupt("queued event before the clock")
+        );
+    }
+
+    #[test]
+    fn restore_rejects_inconsistent_lifecycle_and_timers() {
+        use crate::lifecycle::crafted;
+        let sim = snapshot_world();
+        let bytes = sim.checkpoint().unwrap();
+        let tile = &sim.tiles[0].life;
+        let both = crafted::splice(
+            &bytes,
+            &crafted::liveness(tile),
+            &crafted::alive_and_dormant(1),
+        );
+        assert_eq!(
+            refusal(&both),
+            CheckpointError::Corrupt("node in no lifecycle state")
+        );
+        for (section, refused) in crafted::bad_timers(1) {
+            assert_eq!(
+                refusal(&crafted::splice(&bytes, &crafted::timers(tile), &section)),
+                refused
+            );
+        }
     }
 }

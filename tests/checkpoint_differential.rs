@@ -166,6 +166,71 @@ fn digest(bytes: &[u8]) -> u64 {
 
 const CASES: u64 = 104;
 
+/// A fixed 30-node field with one late arrival (node 4, never joined
+/// before the snapshot), one crash (node 7) and one graceful leave
+/// (node 12); both engines snapshot it mid-run at `GOLDEN_MID`.
+fn golden_world() -> (Experiment, [NodeId; 3]) {
+    let mut rng = StdRng::seed_from_u64(0x601D);
+    let pts = Placement::UniformRect(Rect::square(300.0)).generate(30, &mut rng);
+    let exp = Experiment::new(
+        Topology::from_positions(pts, 100.0),
+        FdsConfig::default(),
+        FormationConfig::default(),
+    );
+    (exp, [NodeId(4), NodeId(7), NodeId(12)])
+}
+
+const GOLDEN_SEED: u64 = 23;
+const GOLDEN_MID: SimTime = SimTime::from_micros(2_345_678);
+
+#[test]
+fn golden_checkpoint_digests_are_pinned() {
+    // Pins the exact snapshot bytes of both formats: any change to what
+    // an engine stores, in which order, or how it evolves the world up
+    // to the snapshot moves a digest. The world carries every
+    // lifecycle state and pending timers, so the liveness and timer
+    // sections are both covered.
+    let (exp, [dormant, crashed, departed]) = golden_world();
+    let radio = || RadioConfig::bernoulli(0.05);
+    let check_states = |alive: &dyn Fn(NodeId) -> bool,
+                        gone: &dyn Fn(NodeId) -> bool,
+                        asleep: &dyn Fn(NodeId) -> bool| {
+        assert!(asleep(dormant) && !alive(dormant));
+        assert!(!alive(crashed) && !gone(crashed) && !asleep(crashed));
+        assert!(gone(departed) && !alive(departed));
+    };
+
+    let mut legacy = exp.build_sim(radio(), GOLDEN_SEED);
+    legacy.set_dormant(dormant);
+    legacy.schedule_join(dormant, GOLDEN_MID + SimDuration::from_millis(1));
+    legacy.schedule_crash(crashed, SimTime::from_millis(900));
+    legacy.schedule_leave(departed, SimTime::from_millis(1_400));
+    legacy.enable_trace();
+    legacy.run_until(GOLDEN_MID);
+    check_states(&|n| legacy.is_alive(n), &|n| legacy.has_departed(n), &|n| {
+        legacy.is_dormant(n)
+    });
+    let legacy_bytes = legacy.checkpoint().expect("legacy checkpoint");
+
+    let mut tiled = exp.build_tiled_sim(radio(), GOLDEN_SEED, 2, 2);
+    tiled.set_dormant(dormant);
+    tiled.schedule_join(dormant, GOLDEN_MID + SimDuration::from_millis(1));
+    tiled.schedule_crash(crashed, SimTime::from_millis(900));
+    tiled.schedule_leave(departed, SimTime::from_millis(1_400));
+    tiled.enable_trace();
+    tiled.run_until(GOLDEN_MID);
+    check_states(&|n| tiled.is_alive(n), &|n| tiled.has_departed(n), &|n| {
+        tiled.is_dormant(n)
+    });
+    let tiled_bytes = tiled.checkpoint().expect("tiled checkpoint");
+
+    assert_eq!(
+        (digest(&legacy_bytes), digest(&tiled_bytes)),
+        (0x961a_87d9_bc37_7da5, 0x0072_5773_ef57_5ed2),
+        "golden snapshot digests (legacy, tiled 2x2)"
+    );
+}
+
 #[test]
 fn restore_then_run_is_byte_identical_across_workers() {
     let seeds: Vec<u64> = (0..CASES).collect();
